@@ -33,6 +33,7 @@ from .poly import (
     exact_div,
     gcd_multivar,
     resultant,
+    resultant_and_penultimate,
     squarefree_decomposition,
     squarefree_part,
     squarefree_part_multivar,
@@ -59,7 +60,6 @@ class Options:
     mv_optimization: bool = True
     method: str = "resultant"  # or "fulton"
     seed: int = 0
-    emit_implicit: bool = False
 
 
 @dataclass(frozen=True)
@@ -592,7 +592,7 @@ def jelonek_2_baseline(f1: SparsePoly, f2: SparsePoly) -> tuple[SparsePoly, Spar
 
 def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
     """Cardinality of a generic fiber, certified at a verified-generic point."""
-    from .realroots import SHEAR_CANDIDATES, _resultant_with_penultimate, _shear
+    from .realroots import SHEAR_CANDIDATES, _shear
 
     rng = random.Random(seed)
     for attempt in range(24):
@@ -611,7 +611,7 @@ def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
                     bad = True
             if bad:
                 continue
-            R, penult = _resultant_with_penultimate(S1, S2, "x2")
+            R, penult = resultant_and_penultimate(S1, S2, "x2")
             if R.is_zero() or R.is_constant():
                 continue
             if penult.degree("x2") != 1:

@@ -164,23 +164,6 @@ def ext_gcd_univar(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> 
     return ext_monic(a, main, ctx)
 
 
-def ext_derivative(p: SparsePoly, main: str) -> SparsePoly:
-    return p.derivative(main)
-
-
-def ext_squarefree_part(p: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:
-    p = ctx.reduce(p)
-    if p.degree(main) < 1:
-        raise PolyError("constant polynomial")
-    g = ext_gcd_univar(p, p.derivative(main), main, ctx)
-    if g.degree(main) < 1:
-        return ext_monic(p, main, ctx)
-    quo, rem = ext_divmod(p, g, main, ctx)
-    if not ctx.is_zero(rem):
-        raise PolyError("inexact squarefree division")
-    return ext_monic(quo, main, ctx)
-
-
 def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> list[tuple[SparsePoly, int]]:
     """Yun decomposition over the quotient field; factors monic in ``main``."""
     p = ctx.reduce(p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .extension import (
@@ -60,6 +61,32 @@ class EdgeSystem:
     edge: object
     skip: bool
     jacobian: SparsePoly
+
+    # The two eliminations and their content splits are computed once per
+    # edge and shared by ms_resultant and every real component's shortcut.
+
+    @cached_property
+    def R1(self) -> SparsePoly:
+        """Res_z2(g1, g2), a polynomial in (z1, y1, y2)."""
+        return resultant(self.g1, self.g2, "z2")
+
+    @cached_property
+    def R2(self) -> SparsePoly:
+        """Res_z1(g1, g2), a polynomial in (z2, y1, y2)."""
+        return resultant(self.g1, self.g2, "z1")
+
+    @cached_property
+    def R12(self) -> SparsePoly:
+        """R1 with its content in z1 divided out."""
+        return content_wrt(self.R1, ["z1"])[1]
+
+    @cached_property
+    def J2(self) -> SparsePoly:
+        """R2 with its content in z2 divided out, at z2 = 0."""
+        R21, R22 = content_wrt(self.R2, ["z2"])
+        if set(R21.vars_present()) - {"z2"}:
+            raise PolyError("z2 content split failed")
+        return R22.eval_rational({"z2": 0})
 
 
 @dataclass(frozen=True)
@@ -110,16 +137,9 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
     """
     if sys.skip or sys.g.degree("z1") < 1:
         return []
-    g1, g2 = sys.g1, sys.g2
-    R1 = resultant(g1, g2, "z2")
-    R2 = resultant(g1, g2, "z1")
-    if R1.is_zero() or R2.is_zero():
+    if sys.R1.is_zero() or sys.R2.is_zero():
         raise PolyError("transformed system not zero-dimensional for generic y")
-    _, R12 = content_wrt(R1, ["z1"])
-    R21, R22 = content_wrt(R2, ["z2"])
-    if set(R21.vars_present()) - {"z2"}:
-        raise PolyError("z2 content split failed")
-    J2 = R22.eval_rational({"z2": 0})
+    R12, J2 = sys.R12, sys.J2
     if J2.is_zero():
         raise PolyError("residual factor vanishes at z2 = 0")
     gsf = squarefree_from(sys.g)
@@ -559,19 +579,6 @@ def _find_rational_point_on(J: SparsePoly, avoid: list[SparsePoly], disc: Sparse
     return None
 
 
-def _generic_reference_point(J: SparsePoly, avoid: list[SparsePoly], disc: SparsePoly,
-                             rng: random.Random) -> tuple[Fraction, Fraction]:
-    for _ in range(200):
-        pt = (QQ(rng.randrange(-50, 51), rng.randrange(1, 8)),
-              QQ(rng.randrange(-50, 51), rng.randrange(1, 8)))
-        if _eval_y(J, pt) == 0 or _eval_y(disc, pt) == 0:
-            continue
-        if any(_eval_y(o, pt) == 0 for o in avoid):
-            continue
-        return pt
-    raise PolyError("could not sample a generic reference point")
-
-
 def _critical_box_bound(J: SparsePoly) -> Fraction:
     bound = QQ(4)
     for dv in ("y1", "y2"):
@@ -640,19 +647,13 @@ def _odd_jump_shortcut(comp: CurveComponent, sys: EdgeSystem, rng: random.Random
     J = comp.defining.normalized()
     # the jump locus is inside V(J1) cap V(J2): a reference point where not
     # both vanish certifiably carries the generic multiplicity
-    R1 = resultant(sys.g1, sys.g2, "z2")
-    R2 = resultant(sys.g1, sys.g2, "z1")
-    if R1.is_zero() or R2.is_zero():
+    if sys.R1.is_zero() or sys.R2.is_zero():
         return None
-    _, R12 = content_wrt(R1, ["z1"])
-    _, R22 = content_wrt(R2, ["z2"])
-    J2 = R22.eval_rational({"z2": 0})
+    R12, J2 = sys.R12, sys.J2
     rho = comp.rho
     if rho.is_rational():
         J1 = R12.eval_rational({"z1": rho.as_fraction()})
     else:
-        from .multiplicity import _rename_z1_to_a
-
         mp = rho.minpoly_sparse("a", R12.vars)
         ctx = ExtContext(mp, "a")
         J1 = ctx.reduce(_rename_z1_to_a(R12))

@@ -10,11 +10,18 @@ require nonnegative exponents in their active variables.
 The canonical term order is graded lexicographic with respect to the
 universe order, so structural equality of dictionaries is equality of
 polynomials.
+
+The public API is ``Fraction``-based throughout.  Eliminations run inside
+on integer coefficients with packed monomials: ``resultant`` and
+``resultant_and_penultimate`` clear denominators and monomial factors on
+entry, run one subresultant engine on ``int`` coefficients keyed by packed
+integer monomials, and convert back to an equal ``SparsePoly`` on exit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd as int_gcd
 from typing import Iterable, Mapping, Sequence
 
@@ -258,23 +265,6 @@ class SparsePoly:
             e[i] = 0
             coeffs[k][tuple(e)] = c
         return [SparsePoly(m, self.vars) for m in coeffs]
-
-    @staticmethod
-    def from_univariate(coeffs: Sequence["SparsePoly"], var: str, variables: Sequence[str]) -> "SparsePoly":
-        variables = tuple(variables)
-        i = variables.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for k, coeff in enumerate(coeffs):
-            for exps, c in coeff.terms.items():
-                e = list(exps)
-                e[i] += k
-                e = tuple(e)
-                s = out.get(e, QQ(0)) + c
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return SparsePoly(out, variables)
 
     def leading_coeff_wrt(self, var: str) -> "SparsePoly":
         if self.is_zero():
@@ -525,61 +515,226 @@ def pseudo_rem(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
 def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     """Exact resultant of p and q with respect to ``var``.
 
-    Computed by the subresultant polynomial remainder sequence with content
-    extraction up front, so intermediate growth stays controlled.  Returns
-    the zero polynomial when the inputs share a factor involving ``var``.
+    Returns the zero polynomial when the inputs share a factor involving
+    ``var``.
+    """
+    return resultant_and_penultimate(p, q, var)[0]
+
+
+def resultant_and_penultimate(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly | None]:
+    """Res_var(p, q) and the last subresultant of positive degree in ``var``.
+
+    Both come from one pass of the subresultant engine below.  The
+    subresultant is fixed up to sign; when the resultant vanishes it is the
+    last nonzero one, a multiple of gcd(p, q).  It is None when p or q is
+    zero or constant in ``var``.
     """
     q = p._check(q)
     if p.is_zero() or q.is_zero():
-        return SparsePoly.zero(p.vars)
+        return SparsePoly.zero(p.vars), None
     dp, dq = p.degree(var), q.degree(var)
     if dp == 0 and dq == 0:
         raise PolyError(f"both inputs constant in {var}")
     if p.min_degree(var) < 0 or q.min_degree(var) < 0:
         raise PolyError(f"negative exponents in {var}")
-    sign = 1
     if dp < dq:
-        p, q = q, p
-        dp, dq = dq, dp
-        if dp % 2 == 1 and dq % 2 == 1:
-            sign = -sign
+        res, pen = _subresultants(q, p, var)
+        return (-res if dp * dq % 2 else res), pen
+    return _subresultants(p, q, var)
+
+
+# -- the integer subresultant engine ------------------------------------------
+#
+# Inside the engine a polynomial is a dense list in the eliminated variable
+# whose entries are dicts from a packed monomial key to a nonzero int.  The
+# key holds the exponents of the live (non-eliminated) variables in
+# fixed-width bit fields, so integer order on keys is lex order on
+# monomials and monomial multiplication is key addition.
+
+
+def _subresultants(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly | None]:
+    """The engine's entry and exit, for deg p >= deg q.
+
+    Each input f is entered as f / (c*m) with c its rational content and m
+    the gcd of its monomials, so the engine sees primitive integer
+    polynomials without Laurent terms.  Exit puts them back: the
+    subresultant of index j (j = 0 is the resultant) is homogeneous of
+    degree dq - j in the coefficients of p and dp - j in those of q.
+    """
+    vi = p._idx(var)
+    dp, dq = p.degree(var), q.degree(var)
+    present = p.vars_present() | q.vars_present()
+    live = [i for i, v in enumerate(p.vars) if i != vi and v in present]
+    lows = [[min(e[i] for e in f.terms) for i in live] for f in (p, q)]
+    spans = [[max(e[i] for e in f.terms) - lo for i, lo in zip(live, low)] for f, low in zip((p, q), lows)]
+    # Every subresultant has degree at most D_v = dq*deg_v p + dp*deg_v q in
+    # a live variable v, and so do the Lazard quotients.  A pseudo-remainder
+    # before its exact division, the products formed around it and the
+    # divisor s^delta * lc(A) have degree below (dp + 2) * D_v.  Fields that
+    # wide never carry into each other.  (The max with deg_v p only matters
+    # when dq = 0, where D_v does not cover the packed p.)
+    bound = max([max(a, dq * a + dp * b) for a, b in zip(*spans)], default=0)
+    width = max(1, ((dp + 2) * bound).bit_length())
+    shifts = range(0, width * len(live), width)
+    mask = (1 << width) - 1
+    cp, cq = p.rational_content(), q.rational_content()
+
+    def pack(f: SparsePoly, c: Fraction, low: list[int]) -> list[dict[int, int]]:
+        out: list[dict[int, int]] = [{} for _ in range(f.degree(var) + 1)]
+        for e, a in f.terms.items():
+            out[e[vi]][sum((e[i] - lo) << s for i, lo, s in zip(live, low, shifts))] = int(a / c)
+        return out
+
+    def unpack(coeffs: list[dict[int, int]], j: int) -> SparsePoly:
+        ep, eq = dq - j, dp - j
+        scale = cp ** ep * cq ** eq
+        base = [ep * a + eq * b for a, b in zip(*lows)]
+        terms: dict[tuple[int, ...], Fraction] = {}
+        for k, coeff in enumerate(coeffs):
+            for key, a in coeff.items():
+                e = [0] * len(p.vars)
+                e[vi] = k
+                for i, b, s in zip(live, base, shifts):
+                    e[i] = (key >> s & mask) + b
+                terms[tuple(e)] = a * scale
+        return SparsePoly(terms, p.vars)
+
+    P, Q = pack(p, cp, lows[0]), pack(q, cq, lows[1])
     if dq == 0:
-        return (q ** dp).scale(sign)
-    # Strip rational content only (cheap); polynomial content handled by PRS.
-    a = p
-    b = q
-    g = SparsePoly.constant(1, p.vars)
-    h = SparsePoly.constant(1, p.vars)
+        return unpack([_ipow(Q[0], dp)], 0), None
+    res, last = _ducos(P, Q)
+    return unpack([res], 0), (q if last is None else unpack(*last))
+
+
+def _ducos(P: list[dict[int, int]], Q: list[dict[int, int]]):
+    """Subresultant PRS of P, Q (deg P >= deg Q > 0) with Lazard's optimization.
+
+    Follows Ducos, "Optimizations of the subresultant algorithm" (JPAA
+    2000): after Q, A runs through the regular subresultants S_d with
+    s = lc(S_d), B through S_(d-1) of degree e, and C = lc(B)^(delta-1) *
+    B / s^(delta-1) is S_e, computed by Lazard's repeated exact division
+    instead of through powers of s.  The next B, S_(e-1), is
+    prem(A, -B) / (s^delta * lc(A)).  Returns S_0 and the last nonzero
+    subresultant of positive degree with its index, or None in place of
+    that pair when it is Q itself.
+    """
+    s = _ipow(Q[-1], len(P) - len(Q))
+    A = Q
+    B = _iprem(P, Q)
+    last = None
     while True:
-        da, db = a.degree(var), b.degree(var)
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = pseudo_rem(a, b, var)
-        if r.is_zero():
-            return SparsePoly.zero(p.vars)
-        a = b
-        denom = g * (h ** delta)
-        b = exact_div(r, denom)
-        g = a.leading_coeff_wrt(var)
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
-            h = g
+        if not B:
+            return {}, last
+        d, e = len(A) - 1, len(B) - 1
+        delta = d - e
+        if delta > 1:
+            c = _lazard(B[-1], s, delta - 1)
+            C = [_iquo(_imul(c, b), s) for b in B]
         else:
-            h = exact_div(g ** delta, h ** (delta - 1))
-        if b.degree(var) <= 0:
-            if b.is_zero():
-                return SparsePoly.zero(p.vars)
-            da = a.degree(var)
-            lb = b.coeff_of(var, 0)
-            if da == 0:
-                res = lb
-            elif da == 1:
-                res = lb
+            C = B
+        if e == 0:
+            return C[0], last
+        last = (B, d - 1)
+        div = _imul(_ipow(s, delta), A[-1])
+        B = [_iquo(r, div) for r in _iprem(A, B)]
+        A = C
+        s = A[-1]
+
+
+def _lazard(x: dict[int, int], y: dict[int, int], n: int) -> dict[int, int]:
+    """x^n / y^(n-1) for n >= 1; every intermediate quotient is exact."""
+    a = 1 << (n.bit_length() - 1)
+    c = x
+    n -= a
+    while a > 1:
+        a >>= 1
+        c = _iquo(_imul(c, c), y)
+        if n >= a:
+            c = _iquo(_imul(c, x), y)
+            n -= a
+    return c
+
+
+def _imul(a: dict[int, int], b: dict[int, int], acc: dict[int, int] | None = None) -> dict[int, int]:
+    """acc + a*b, with acc = 0 when omitted."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(acc) if acc else {}
+    get = out.get
+    for kb, cb in b.items():
+        for ka, ca in a.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _ipow(a: dict[int, int], n: int) -> dict[int, int]:
+    out = {0: 1}
+    while n:
+        if n & 1:
+            out = _imul(out, a)
+        n >>= 1
+        if n:
+            a = _imul(a, a)
+    return out
+
+
+def _iquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Exact quotient a / b (b divides a), by lex-ordered division.
+
+    The remainder's leading key comes from a max-heap; each quotient term
+    cancels it.  Keys made zero are dropped and their heap entries skipped.
+    """
+    kb = max(b)
+    cb = b[kb]
+    rest = [(k - kb, c) for k, c in b.items() if k != kb]
+    r = dict(a)
+    heap = [-k for k in r]
+    heapify(heap)
+    out: dict[int, int] = {}
+    while heap:
+        k = -heappop(heap)
+        c = r.pop(k, 0)
+        if not c:
+            continue
+        t, rem = divmod(c, cb)
+        if rem:
+            raise PolyError("inexact division in the subresultant engine")
+        out[k - kb] = t
+        for off, cc in rest:
+            kk = k + off
+            v = r.get(kk)
+            if v is None:
+                r[kk] = -t * cc
+                heappush(heap, -kk)
+            elif v == t * cc:
+                del r[kk]
             else:
-                res = exact_div(lb ** da, h ** (da - 1))
-            return res.scale(sign)
+                r[kk] = v - t * cc
+    return out
+
+
+def _iprem(A: list[dict[int, int]], B: list[dict[int, int]]) -> list[dict[int, int]]:
+    """prem(A, -B) = lc(-B)^(deg A - deg B + 1) * A reduced modulo B."""
+    db = len(B) - 1
+    lb = {k: -c for k, c in B[-1].items()}  # lc(-B)
+    r = list(A)
+    idle = 0
+    for k in range(len(A) - 1, db - 1, -1):
+        c = r.pop()
+        if not c:
+            idle += 1  # this step's factor lc(-B) is applied at the end
+            continue
+        r = [_imul(x, lb) if x else x for x in r]
+        for i in range(db):
+            if B[i]:
+                r[k - db + i] = _imul(c, B[i], r[k - db + i])
+    if idle:
+        f = _ipow(lb, idle)
+        r = [_imul(x, f) if x else x for x in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
 
 
 def _content_of_coeffs(coeffs: list[SparsePoly]) -> SparsePoly:

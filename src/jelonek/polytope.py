@@ -149,12 +149,6 @@ class EdgeRecord:
     origin: bool
     infinity: bool
 
-    def label(self) -> str:
-        def side(face, tag):
-            return f"{tag}{face[0]}" if len(face) == 1 else f"{tag}{face[0]}-{face[1]}"
-
-        return f"edge#{self.index}[{self.endpoints[0]}->{self.endpoints[1]}]"
-
     def flags(self) -> dict[str, bool]:
         return {
             "long": self.long,

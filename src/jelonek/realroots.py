@@ -23,7 +23,7 @@ from .poly import (
     QQ,
     SparsePoly,
     gcd_multivar,
-    pseudo_rem,
+    resultant_and_penultimate,
     squarefree_decomposition,
 )
 
@@ -71,10 +71,6 @@ def dense_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def dense_derivative(p: Sequence[Fraction]) -> list[Fraction]:
-    return [c * k for k, c in enumerate(p)][1:]
 
 
 def dense_shift(p: Sequence[Fraction], c: Fraction) -> list[Fraction]:
@@ -538,39 +534,6 @@ class ShearError(PolyError):
     pass
 
 
-def _resultant_with_penultimate(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly]:
-    """Resultant plus the last remainder of positive degree in ``var``."""
-    from .poly import exact_div, resultant
-
-    dp, dq = p.degree(var), q.degree(var)
-    if dp < dq:
-        p, q = q, p
-        dp, dq = dq, dp
-    if dq <= 0:
-        raise PolyError("penultimate undefined for trivial sequences")
-    a, b = p, q
-    g = SparsePoly.constant(1, p.vars)
-    h = SparsePoly.constant(1, p.vars)
-    penult = b
-    while True:
-        delta = a.degree(var) - b.degree(var)
-        r = pseudo_rem(a, b, var)
-        if r.is_zero():
-            return SparsePoly.zero(p.vars), b
-        a = b
-        b = exact_div(r, g * h ** delta)
-        g = a.leading_coeff_wrt(var)
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = exact_div(g ** delta, h ** (delta - 1))
-        if b.degree(var) <= 0:
-            penult = a
-            break
-    res = resultant(p, q, var)
-    return res, penult
-
-
 def _shear(p: SparsePoly, s: int) -> SparsePoly:
     x1 = SparsePoly.variable("x1", p.vars)
     x2 = SparsePoly.variable("x2", p.vars)
@@ -608,7 +571,7 @@ def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
         lc = F.coeff_of("x2", d)
         if not lc.is_constant():
             raise ShearError("leading coefficient not constant after shear")
-    R, penult = _resultant_with_penultimate(F1, F2, "x2")
+    R, penult = resultant_and_penultimate(F1, F2, "x2")
     if R.is_zero():
         raise PolyError("not zero-dimensional")
     if R.is_constant():
@@ -663,7 +626,7 @@ def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealA
             raise ShearError("degenerate x2 degree")
         if not F.coeff_of("x2", d).is_constant():
             raise ShearError("leading coefficient not constant after shear")
-    R, penult = _resultant_with_penultimate(F1, F2, "x2")
+    R, penult = resultant_and_penultimate(F1, F2, "x2")
     ctx = ExtContext(minpoly, pvar)
     R = ctx.reduce(R)
     if R.is_zero():
