@@ -33,7 +33,6 @@ from .poly import (
     exact_div,
     gcd_multivar,
     resultant,
-    resultant_and_penultimate,
     squarefree_decomposition,
     squarefree_part,
     squarefree_part_multivar,
@@ -49,7 +48,15 @@ from .polytope import (
     test_number_of_roots,
     toric_transform,
 )
-from .realroots import RealAlgebraic, compare, isolate_real_roots
+from .realroots import (
+    SHEAR_CANDIDATES,
+    RealAlgebraic,
+    ShearError,
+    compare,
+    isolate_real_roots,
+    sheared_resultant,
+    _shear,
+)
 
 FIELD_REAL = "R"
 FIELD_COMPLEX = "C"
@@ -542,7 +549,7 @@ def _back_translate(c: Component, shift: tuple[int, int]) -> Component:
     if implicit is not None:
         implicit = implicit.subs_poly("y1", y1 + SparsePoly.constant(a1, implicit.vars))
         implicit = implicit.subs_poly("y2", y2 + SparsePoly.constant(a2, implicit.vars)).normalized()
-    return replace_component(c, defining=defining, param=param, implicit=implicit)
+    return replace(c, defining=defining, param=param, implicit=implicit)
 
 
 def DEFAULT_UNIVERSE_OF(c: Component):
@@ -553,13 +560,6 @@ def DEFAULT_UNIVERSE_OF(c: Component):
     from .poly import DEFAULT_VARS
 
     return DEFAULT_VARS
-
-
-def replace_component(c: Component, **kw) -> Component:
-    data = dict(kind=c.kind, defining=c.defining, provenance=c.provenance, realness=c.realness,
-                minpoly=c.minpoly, rho=c.rho, param=c.param, implicit=c.implicit)
-    data.update(kw)
-    return Component(**data)
 
 
 # -- baseline, degree bound, implicitization ------------------------------------
@@ -592,8 +592,6 @@ def jelonek_2_baseline(f1: SparsePoly, f2: SparsePoly) -> tuple[SparsePoly, Spar
 
 def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
     """Cardinality of a generic fiber, certified at a verified-generic point."""
-    from .realroots import SHEAR_CANDIDATES, _shear
-
     rng = random.Random(seed)
     for attempt in range(24):
         q1 = QQ(rng.randrange(-99, 100), rng.randrange(1, 9))
@@ -603,25 +601,12 @@ def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
         if not gcd_multivar(F1, F2).is_constant():
             continue
         for s in SHEAR_CANDIDATES:
-            S1, S2 = _shear(F1, s), _shear(F2, s)
-            bad = False
-            for F in (S1, S2):
-                d = F.degree("x2")
-                if d <= 0 or not F.coeff_of("x2", d).is_constant():
-                    bad = True
-            if bad:
+            try:
+                R, Rsf = sheared_resultant(_shear(F1, s), _shear(F2, s))
+            except ShearError:
                 continue
-            R, penult = resultant_and_penultimate(S1, S2, "x2")
-            if R.is_zero() or R.is_constant():
-                continue
-            if penult.degree("x2") != 1:
-                continue
-            c1 = penult.coeff_of("x2", 1)
-            sf = squarefree_part(R, "x1")
-            if sf.degree("x1") != R.degree("x1"):
-                continue  # generic fibers must be simple; resample
-            if not c1.is_constant() and gcd_multivar(sf, c1).degree("x1") > 0:
-                continue
+            if R.is_constant() or Rsf.degree("x1") != R.degree("x1"):
+                continue  # generic fibers are nonempty and simple; resample
             return R.degree("x1")
     raise PolyError("could not certify a generic fiber")
 

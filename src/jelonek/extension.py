@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .poly import PolyError, QQ, SparsePoly, exact_div, gcd_multivar
+from .poly import PolyError, QQ, SparsePoly, exact_div, gcd_multivar, grlex_key
 
 
 class ZeroDivisor(Exception):
@@ -23,28 +23,45 @@ class ZeroDivisor(Exception):
         self.factor = factor
 
 
-def divmod_univar(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly]:
-    """Division with remainder by a polynomial whose lc in ``var`` is a unit.
+def divmod_univar(p: SparsePoly, q: SparsePoly, var: str,
+                  ctx: ExtContext | None = None) -> tuple[SparsePoly, SparsePoly]:
+    """Division with remainder in K[var], K = Q or Q[a]/(m) when ``ctx`` is given.
 
-    The leading coefficient of ``q`` must be a nonzero rational constant (it
-    is for minimal polynomials in canonical form).
+    Coefficients may involve other variables.  Without ``ctx`` the leading
+    coefficient of ``q`` in ``var`` must be a nonzero rational constant (it
+    is for minimal polynomials in canonical form); with ``ctx`` it is
+    inverted in Q[a]/(m), which may raise :class:`ZeroDivisor`, and every
+    step is reduced modulo m.
     """
+    if ctx is not None:
+        p, q = ctx.reduce(p), ctx.reduce(q)
     dq = q.degree(var)
+    if dq < 0:
+        raise PolyError("division by zero")
     lc = q.coeff_of(var, dq)
-    if not lc.is_constant():
+    if ctx is not None:
+        inv = ctx.inverse(lc)
+    elif lc.is_constant():
+        inv = 1 / lc.constant_value()
+    else:
         raise PolyError("divisor leading coefficient is not constant")
-    c = lc.constant_value()
     quo = SparsePoly.zero(p.vars)
     rem = p
+    shift = [0] * len(p.vars)
     i = p._idx(var)
     while not rem.is_zero() and rem.degree(var) >= dq:
         dr = rem.degree(var)
-        coeff = rem.coeff_of(var, dr).scale(1 / c)
-        shift = [0] * len(p.vars)
         shift[i] = dr - dq
         mono = SparsePoly({tuple(shift): QQ(1)}, p.vars)
+        if ctx is None:
+            coeff = rem.coeff_of(var, dr).scale(inv)
+            rem = rem - q * coeff * mono
+        else:
+            coeff = ctx.mul(rem.coeff_of(var, dr), inv)
+            rem = ctx.reduce(rem - q * coeff * mono)
+            if rem.degree(var) == dr:  # leading coefficient was a zero divisor view
+                raise PolyError("division failed to reduce degree")
         quo = quo + coeff * mono
-        rem = rem - q * coeff * mono
     return quo, rem
 
 
@@ -84,7 +101,7 @@ class ExtContext:
         r0, r1 = self.minpoly, u
         s0, s1 = SparsePoly.zero(u.vars), SparsePoly.constant(1, u.vars)
         while not r1.is_zero() and r1.degree(self.var) > 0:
-            q, r = divmod_univar_field(r0, r1, self.var)
+            q, r = divmod_univar(r0, r1, self.var)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
         if r1.is_zero():
@@ -93,49 +110,6 @@ class ExtContext:
                 raise PolyError("inverse of zero in quotient ring")
             raise ZeroDivisor(g)
         return self.reduce(s1.scale(1 / r1.constant_value()))
-
-
-def divmod_univar_field(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly]:
-    """Division with remainder for univariate polynomials over Q."""
-    dq = q.degree(var)
-    if dq < 0:
-        raise PolyError("division by zero")
-    quo = SparsePoly.zero(p.vars)
-    rem = p
-    i = p._idx(var)
-    while not rem.is_zero() and rem.degree(var) >= dq:
-        dr = rem.degree(var)
-        c = rem.coeff_of(var, dr).constant_value() / q.coeff_of(var, dq).constant_value()
-        shift = [0] * len(p.vars)
-        shift[i] = dr - dq
-        mono = SparsePoly({tuple(shift): c}, p.vars)
-        quo = quo + mono
-        rem = rem - q * mono
-    return quo, rem
-
-
-def ext_divmod(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> tuple[SparsePoly, SparsePoly]:
-    """Division with remainder in (Q[a]/(m))[main]; may raise ZeroDivisor."""
-    p = ctx.reduce(p)
-    q = ctx.reduce(q)
-    dq = q.degree(main)
-    if dq < 0:
-        raise PolyError("division by zero")
-    lc_inv = ctx.inverse(q.coeff_of(main, dq))
-    quo = SparsePoly.zero(p.vars)
-    rem = p
-    i = p._idx(main)
-    while not rem.is_zero() and rem.degree(main) >= dq:
-        dr = rem.degree(main)
-        coeff = ctx.mul(rem.coeff_of(main, dr), lc_inv)
-        shift = [0] * len(p.vars)
-        shift[i] = dr - dq
-        mono = SparsePoly({tuple(shift): QQ(1)}, p.vars)
-        quo = quo + coeff * mono
-        rem = ctx.reduce(rem - q * coeff * mono)
-        if rem.degree(main) == dr:  # leading coefficient was a zero divisor view
-            raise PolyError("division failed to reduce degree")
-    return quo, rem
 
 
 def ext_monic(p: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:
@@ -159,7 +133,7 @@ def ext_gcd_univar(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> 
             if ctx.is_zero(b):
                 break
             return SparsePoly.constant(1, p.vars)
-        _, r = ext_divmod(a, b, main, ctx)
+        _, r = divmod_univar(a, b, main, ctx)
         a, b = b, r
     return ext_monic(a, main, ctx)
 
@@ -173,10 +147,10 @@ def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> l
         return []
     dp = ctx.reduce(p.derivative(main))
     g = ext_gcd_univar(p, dp, main, ctx)
-    c, rem = ext_divmod(p, g, main, ctx)
+    c, rem = divmod_univar(p, g, main, ctx)
     if not ctx.is_zero(rem):
         raise PolyError("inexact division in Yun")
-    dq, rem = ext_divmod(dp, g, main, ctx)
+    dq, rem = divmod_univar(dp, g, main, ctx)
     if not ctx.is_zero(rem):
         raise PolyError("inexact division in Yun")
     d = ctx.reduce(dq - c.derivative(main))
@@ -186,14 +160,14 @@ def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> l
         a = ext_gcd_univar(c, d, main, ctx) if not d.is_zero() else ext_monic(c, main, ctx)
         if a.degree(main) > 0:
             out.append((a, i))
-        c, rem = ext_divmod(c, a, main, ctx)
+        c, rem = divmod_univar(c, a, main, ctx)
         if not ctx.is_zero(rem):
             raise PolyError("inexact division in Yun")
         if d.is_zero():
             d = SparsePoly.zero(p.vars)
             dnew = -c.derivative(main)
         else:
-            dq, rem = ext_divmod(d, a, main, ctx)
+            dq, rem = divmod_univar(d, a, main, ctx)
             if not ctx.is_zero(rem):
                 raise PolyError("inexact division in Yun")
             dnew = ctx.reduce(dq - c.derivative(main))
@@ -350,8 +324,6 @@ def _ext_normal(p: SparsePoly, ctx: ExtContext) -> SparsePoly:
     for exps, c in p.terms.items():
         key = tuple(0 if v == ctx.var else e for v, e in zip(p.vars, exps))
         coeffs.setdefault(key, {})[exps] = c
-    from .poly import grlex_key
-
     lead_key = max(coeffs, key=grlex_key)
     lead = SparsePoly(coeffs[lead_key], p.vars)
     # strip the extension variable exponents back in

@@ -31,6 +31,7 @@ from .poly import (
     gcd_multivar,
     resultant,
     squarefree_decomposition,
+    squarefree_part,
     squarefree_part_multivar,
 )
 from .realroots import (
@@ -45,6 +46,7 @@ from .realroots import (
     sign_at,
     to_dense,
     _root_in,
+    _select_modulus_factor,
 )
 
 FULTON_INFINITY = float("inf")
@@ -115,7 +117,6 @@ def _split_factors(J: SparsePoly) -> list[SparsePoly]:
     for var in ("y1", "y2"):
         if rest.is_constant():
             break
-        others = [v for v in rest.vars if v != var]
         cont, prim = content_wrt(rest, [var])
         # cont is purely in var: univariate squarefree split
         if not cont.is_constant():
@@ -142,7 +143,7 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
     R12, J2 = sys.R12, sys.J2
     if J2.is_zero():
         raise PolyError("residual factor vanishes at z2 = 0")
-    gsf = squarefree_from(sys.g)
+    gsf = squarefree_part(sys.g, "z1")
     if fld == "C":
         H = resultant(R12, gsf, "z1") if R12.degree("z1") >= 0 else R12
         if H.is_zero():
@@ -182,10 +183,9 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
                 mp = exact_div(mp, lin)
             mp = _rename_z1_to_a(mp.normalized())
             J1 = _rename_z1_to_a(R12)
-            results = []
-            for m_factor, J in gcd_mod_minpoly_components(J1, J2, mp):
+            for m_factor, J in with_dynamic_splitting(mp, "a", lambda ctx: ext_gcd_multivar(J1, J2, ctx)):
                 for r in irrational:
-                    if _root_in(to_dense(_rename_a_to_z1(m_factor), "z1"), r.lo, r.hi):
+                    if _root_in(to_dense(m_factor, "a"), r.lo, r.hi):
                         if J.degree("y1") <= 0 and J.degree("y2") <= 0:
                             continue
                         components.append(CurveComponent(
@@ -194,34 +194,12 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
     return components
 
 
-def gcd_mod_minpoly_components(J1: SparsePoly, J2: SparsePoly, minpoly: SparsePoly):
-    out = with_dynamic_splitting(minpoly, "a", lambda ctx: ext_gcd_multivar(J1, J2, ctx))
-    return [(m, g) for m, g in out]
-
-
-def squarefree_from(g: SparsePoly) -> SparsePoly:
-    from .poly import squarefree_part
-
-    return squarefree_part(g, "z1")
-
-
 def _rename_z1_to_a(p: SparsePoly) -> SparsePoly:
     i_from, i_to = p.vars.index("z1"), p.vars.index("a")
     out = {}
     for exps, c in p.terms.items():
         if exps[i_to] != 0:
             raise PolyError("extension variable already in use")
-        e = list(exps)
-        e[i_to] = e[i_from]
-        e[i_from] = 0
-        out[tuple(e)] = c
-    return SparsePoly(out, p.vars)
-
-
-def _rename_a_to_z1(p: SparsePoly) -> SparsePoly:
-    i_from, i_to = p.vars.index("a"), p.vars.index("z1")
-    out = {}
-    for exps, c in p.terms.items():
         e = list(exps)
         e[i_to] = e[i_from]
         e[i_from] = 0
@@ -552,11 +530,7 @@ def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction
         try:
             return fulton_multiplicity(G1, G2, ctx=ctx)
         except ZeroDivisor as zd:
-            f = zd.factor.normalized()
-            if _root_in(to_dense(f, "a"), rho.lo, rho.hi):
-                minpoly = f
-            else:
-                minpoly = exact_div(minpoly.normalized(), f).normalized()
+            minpoly = _select_modulus_factor(zd.factor, minpoly, "a", rho)
 
 
 def _find_rational_point_on(J: SparsePoly, avoid: list[SparsePoly], disc: SparsePoly | None,

@@ -9,7 +9,7 @@ exactly one of its roots.
 Real-solution counting for zero-dimensional bivariate systems works in a
 sheared coordinate generic enough that every fiber over a resultant root
 carries exactly one solution; the shear is certified through the first
-subresultant, never assumed.
+subresultant, never assumed (:func:`sheared_resultant`).
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .extension import ExtContext, ZeroDivisor, ext_divmod, ext_monic, ext_squarefree_decomposition
+from .extension import (
+    ExtContext,
+    ZeroDivisor,
+    divmod_univar,
+    ext_gcd_univar,
+    ext_monic,
+    ext_squarefree_decomposition,
+)
 from .poly import (
     PolyError,
     QQ,
@@ -25,6 +32,7 @@ from .poly import (
     gcd_multivar,
     resultant_and_penultimate,
     squarefree_decomposition,
+    squarefree_part,
 )
 
 
@@ -265,29 +273,6 @@ class RealAlgebraic:
         return f"RealAlgebraic(~{self.to_float():.6f})"
 
 
-def gcd_dense(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    a, b = dense_trim(list(p)), dense_trim(list(q))
-    while b:
-        if len(b) == 1:
-            return [QQ(1)]
-        a, b = b, _dense_rem(a, b)
-    return dense_primitive(a) if a else []
-
-
-def _dense_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        f = a[-1] / b[-1]
-        k = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[k + i] -= f * c
-        a = dense_trim(a)
-        if not a:
-            break
-    return a
-
-
 def _interval_eval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     mn, mx = QQ(0), QQ(0)
     for c in reversed(p):
@@ -312,7 +297,7 @@ def sign_at_dense(dense: Sequence[Fraction], alpha: RealAlgebraic) -> int:
     if alpha.is_rational():
         v = dense_eval(dense, alpha.as_fraction())
         return (v > 0) - (v < 0)
-    g = gcd_dense(list(dense), list(alpha.dense))
+    g = to_dense(gcd_multivar(from_dense(dense, "x1"), alpha.minpoly_sparse("x1")), "x1")
     if len(g) > 1:
         glo = dense_eval(g, alpha.lo)
         ghi = dense_eval(g, alpha.hi)
@@ -335,7 +320,7 @@ def compare(a: RealAlgebraic, b: RealAlgebraic) -> int:
         return -b.cmp_fraction(a.as_fraction())
     if b.is_rational():
         return a.cmp_fraction(b.as_fraction())
-    g = gcd_dense(list(a.dense), list(b.dense))
+    g = to_dense(gcd_multivar(a.minpoly_sparse("x1"), b.minpoly_sparse("x1")), "x1")
     x, y = a, b
     while not (x.hi < y.lo or y.hi < x.lo):
         if len(g) > 1:
@@ -488,7 +473,7 @@ def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebr
         return 0
     seq = [p, ctx.reduce(p.derivative(main))]
     while not seq[-1].is_zero() and seq[-1].degree(main) > 0:
-        _, r = ext_divmod(seq[-2], seq[-1], main, ctx)
+        _, r = divmod_univar(seq[-2], seq[-1], main, ctx)
         seq.append(ctx.reduce(-r))
     if seq[-1].is_zero():
         seq.pop()
@@ -507,16 +492,10 @@ def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebr
         lc = f.coeff_of(main, d) if d >= 0 else SparsePoly.zero(f.vars)
         s = sig(lc)
         if s == 0:
-            raise ZeroDivisor(gcd_multivar(lc_to_modpoly(lc, ctx), ctx.minpoly))
+            raise ZeroDivisor(gcd_multivar(lc, ctx.minpoly))
         plus.append(s)
         minus.append(s if d % 2 == 0 else -s)
     return _sign_changes(minus) - _sign_changes(plus)
-
-
-def lc_to_modpoly(lc: SparsePoly, ctx: ExtContext) -> SparsePoly:
-    if lc.vars_present() - {ctx.var}:
-        raise PolyError("leading coefficient not an extension element")
-    return lc
 
 
 def _sign_changes(signs: list[int]) -> int:
@@ -561,27 +540,44 @@ def count_real_solutions(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
     raise PolyError(f"no generic shear found: {last_error}")
 
 
-def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
-    from .poly import squarefree_part
-
+def _check_x2_leading(F1: SparsePoly, F2: SparsePoly) -> None:
+    """Both polynomials have positive degree and a constant leading coefficient in x2."""
     for F in (F1, F2):
         d = F.degree("x2")
         if d <= 0:
             raise ShearError("degenerate x2 degree")
-        lc = F.coeff_of("x2", d)
-        if not lc.is_constant():
+        if not F.coeff_of("x2", d).is_constant():
             raise ShearError("leading coefficient not constant after shear")
+
+
+def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
+    """(R, Rsf): R = Res_x2(F1, F2) and its squarefree part, shear certified.
+
+    Certifies that every root of R carries exactly one solution of
+    F1 = F2 = 0: both leading coefficients in x2 are constant, the
+    penultimate subresultant has degree 1 in x2, and its coefficient c1 has
+    no common root with Rsf.  Raises :class:`ShearError` otherwise.  A
+    constant R (no solutions) is returned with Rsf = 1.
+    """
+    _check_x2_leading(F1, F2)
     R, penult = resultant_and_penultimate(F1, F2, "x2")
     if R.is_zero():
         raise PolyError("not zero-dimensional")
     if R.is_constant():
-        return 0, 0
+        return R, SparsePoly.constant(1, R.vars)
     if penult.degree("x2") != 1:
         raise ShearError("defective remainder sequence")
     c1 = penult.coeff_of("x2", 1)
     Rsf = squarefree_part(R, "x1")
     if not c1.is_constant() and gcd_multivar(Rsf, c1).degree("x1") > 0:
         raise ShearError("fiber degeneracy at a resultant root")
+    return R, Rsf
+
+
+def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
+    R, _ = sheared_resultant(F1, F2)
+    if R.is_constant():
+        return 0, 0
     distinct = 0
     with_mult = 0
     for root, mult in isolate_real_roots(R, "x1"):
@@ -620,12 +616,7 @@ def _select_modulus_factor(factor: SparsePoly, minpoly: SparsePoly, pvar: str, a
 
 
 def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealAlgebraic, minpoly: SparsePoly) -> tuple[int, int]:
-    for F in (F1, F2):
-        d = F.degree("x2")
-        if d <= 0:
-            raise ShearError("degenerate x2 degree")
-        if not F.coeff_of("x2", d).is_constant():
-            raise ShearError("leading coefficient not constant after shear")
+    _check_x2_leading(F1, F2)
     R, penult = resultant_and_penultimate(F1, F2, "x2")
     ctx = ExtContext(minpoly, pvar)
     R = ctx.reduce(R)
@@ -640,8 +631,6 @@ def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealA
         raise ShearError("vanishing subresultant")
     factors = ext_squarefree_decomposition(R, "x1", ctx)
     # certify: no common root of the squarefree part and the first subresultant
-    from .extension import ext_gcd_univar
-
     if c1.degree("x1") > 0:
         sf = SparsePoly.constant(1, R.vars)
         for f, _ in factors:

@@ -1,11 +1,14 @@
 """Tests for arithmetic over Q[a]/(m) and gcds with dynamic splitting."""
 
+from fractions import Fraction
+
 import pytest
 
 from jelonek.poly import PolyError, SparsePoly, gcd_multivar
 from jelonek.extension import (
     ExtContext,
     ZeroDivisor,
+    divmod_univar,
     ext_gcd_multivar,
     ext_squarefree_decomposition,
     gcd_mod_minpoly,
@@ -22,8 +25,35 @@ def test_reduce_and_inverse():
     assert ctx.reduce(a ** 2) == SparsePoly.constant(2)
     inv = ctx.inverse(a)  # 1/sqrt2 = a/2
     assert ctx.mul(inv, a) == SparsePoly.constant(1)
-    assert ctx.inverse(SparsePoly.constant(3)) == SparsePoly.constant(1) * SparsePoly.constant(1).scale(1) / 1 * SparsePoly.constant(1).scale(1) if False else ctx.inverse(SparsePoly.constant(3)).constant_value() == 1 / 3 or True
+    assert ctx.inverse(SparsePoly.constant(3)) == SparsePoly.constant(Fraction(1, 3))
     assert ctx.mul(ctx.inverse(a + 1), a + 1) == SparsePoly.constant(1)
+
+
+@pytest.mark.parametrize("p, q, var, ctx", [
+    # rational leading coefficient, other coefficients in y1, y2
+    (y1 * z1 ** 3 + (y2 - 1) * z1 + 5, 2 * z1 ** 2 + y1 * z1 - 3, "z1", None),
+    # univariate over Q
+    (3 * a ** 5 - a + SparsePoly.constant(Fraction(7, 2)),
+     SparsePoly.constant(Fraction(2, 3)) * a ** 2 + a - 1, "a", None),
+    # over Q[a]/(a^2 - 2) with leading coefficient a + 1
+    (z1 ** 4 + a * z1 ** 3 - 3 * z1 + a, (a + 1) * z1 ** 2 + a * z1 + 1, "z1", ExtContext(a ** 2 - 2)),
+], ids=["rational-lc-multivariate", "univariate-over-Q", "over-Q(sqrt2)"])
+def test_divmod_univar(p, q, var, ctx):
+    quo, rem = divmod_univar(p, q, var, ctx)
+    red = ctx.reduce if ctx is not None else (lambda f: f)
+    assert red(quo * q + rem - p).is_zero()
+    assert rem.degree(var) < q.degree(var)
+    assert not quo.is_zero()
+
+
+def test_divmod_univar_zero_divisor_leading_coefficient():
+    with pytest.raises(ZeroDivisor):
+        divmod_univar(z1 ** 2, (a - 1) * z1 + 1, "z1", ExtContext(a ** 2 - 1))
+
+
+def test_divmod_univar_needs_rational_leading_coefficient():
+    with pytest.raises(PolyError):
+        divmod_univar(z1 ** 2, y1 * z1 + 1, "z1")
 
 
 def test_inverse_zero_divisor():

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from jelonek.poly import PolyError, SparsePoly
+from jelonek.poly import PolyError, SparsePoly, resultant
 from jelonek.realroots import (
     RealAlgebraic,
+    ShearError,
     compare,
     count_real_solutions,
     count_real_solutions_param,
@@ -16,6 +17,7 @@ from jelonek.realroots import (
     rational_roots,
     refine,
     root_bound,
+    sheared_resultant,
     sign_at,
 )
 
@@ -229,3 +231,24 @@ def test_count_param_algebraic():
     # at w = -sqrt2 there are none
     msqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() < 0][0]
     assert count_real_solutions_param(f1, f2, "w", msqrt2) == (0, 0)
+
+
+def test_sheared_resultant_certified():
+    # x2^2 = x1 and x1*x2 + x1 - 1 = 0: three solutions over distinct x1;
+    # the penultimate subresultant is x1*x2 + x1 - 1, whose c1 = x1 is
+    # nonzero at every root of R
+    f1 = x2 ** 2 + x1 * x2 - 1
+    f2 = x2 ** 2 - x1
+    R, Rsf = sheared_resultant(f1, f2)
+    assert R == resultant(f1, f2, "x2")
+    assert R.degree("x1") == 3
+    assert Rsf == R.normalized()
+
+
+@pytest.mark.parametrize("f1, f2", [
+    (x1 * x2 + 1, x2 ** 2 - x1),                # leading coefficient x1 in x2
+    (x2 ** 2 - 1, x2 ** 2 + x1 - 1),            # two solutions over x1 = 0
+], ids=["nonconstant-leading-coefficient", "two-points-per-fiber"])
+def test_sheared_resultant_rejects_shear(f1, f2):
+    with pytest.raises(ShearError):
+        sheared_resultant(f1, f2)
