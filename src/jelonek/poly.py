@@ -864,8 +864,14 @@ def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     common = pv & qv
     if not common:
         return SparsePoly.constant(1, p.vars)
-    if len(pv) == 1 and pv == qv:
-        return _gcd_univar_dense(p, q, next(iter(pv)))
+    # a common factor lives in the common variables, so it divides the
+    # content of each operand over Q[common]
+    if pv != common:
+        return gcd_multivar(content_wrt(p, common)[0], q)
+    if qv != common:
+        return gcd_multivar(p, content_wrt(q, common)[0])
+    if len(common) == 1:
+        return _gcd_univar_dense(p, q, next(iter(common)))
     # main variable: the last common one in universe order keeps elimination
     # variables (x, z) as coefficients less often than not; any choice works.
     var = [v for v in p.vars if v in common][-1]

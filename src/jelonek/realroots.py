@@ -2,7 +2,11 @@
 
 Univariate real roots are isolated by Descartes sign-variation bisection on
 the squarefree part, with multiplicities recovered from the squarefree
-decomposition.  Numbers are carried in isolating-interval representation:
+decomposition.  The bisection tree is fixed by the Cauchy bound and exact
+midpoints; along it every interval carries an integer multiple of the
+polynomial mapped onto (0, 1), so the tests run on ``int`` coefficients
+(Collins-Akritas; Rouillier-Zimmermann) and only the interval endpoints
+are ``Fraction``s.  Numbers are carried in isolating-interval representation:
 a squarefree integer minimal polynomial plus a rational interval containing
 exactly one of its roots.
 
@@ -15,6 +19,7 @@ subresultant, never assumed (:func:`sheared_resultant`).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .extension import (
@@ -81,32 +86,11 @@ def dense_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def dense_shift(p: Sequence[Fraction], c: Fraction) -> list[Fraction]:
-    """Taylor shift: coefficients of p(x + c)."""
-    out = list(p)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return out
-
-def dense_scale(p: Sequence[Fraction], c: Fraction) -> list[Fraction]:
-    """Coefficients of p(c*x)."""
-    out = []
-    f = QQ(1)
-    for a in p:
-        out.append(a * f)
-        f *= c
-    return out
-
-
 def dense_primitive(p: Sequence[Fraction]) -> list[Fraction]:
-    from math import gcd as _gcd
-
     num, den = 0, 1
     for c in p:
-        num = _gcd(num, c.numerator)
-        den = den * c.denominator // _gcd(den, c.denominator)
+        num = gcd(num, c.numerator)
+        den = den * c.denominator // gcd(den, c.denominator)
     if num == 0:
         return list(p)
     scale = QQ(den, num)
@@ -114,18 +98,6 @@ def dense_primitive(p: Sequence[Fraction]) -> list[Fraction]:
     if out[-1] < 0:
         out = [-c for c in out]
     return out
-
-
-def _variations(coeffs: Sequence[Fraction]) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _descartes_01(p: Sequence[Fraction]) -> int:
-    """Sign variations bounding the roots of p in the open interval (0, 1)."""
-    rev = list(reversed(p))  # x^n * p(1/x)
-    shifted = dense_shift(rev, QQ(1))  # roots in (0,1) -> (0, inf)
-    return _variations(shifted)
 
 
 def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
@@ -137,37 +109,63 @@ def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
     return 1 + max(abs(c) for c in p[:-1]) / lead
 
 
+def _shift1(q: Sequence[int]) -> list[int]:
+    """Taylor shift by one: coefficients of q(x + 1)."""
+    out = list(q)
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += out[j + 1]
+    return out
+
+
+def _reflect(q: Sequence[int]) -> list[int]:
+    """Coefficients of q(-x)."""
+    return [-c if i % 2 else c for i, c in enumerate(q)]
+
+
 def isolate_squarefree_dense(p: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals for all real roots of a squarefree polynomial.
 
     Returns (lo, hi) pairs with lo == hi for exactly-hit rational roots and
     p(lo) * p(hi) < 0 otherwise.
+
+    Descartes bisection of (-B, 0) and (0, B), B the Cauchy bound, at exact
+    midpoints in LIFO order.  Each interval (a, b) carries a positive integer
+    multiple q of p(a + (b - a) x): q[0] and sum(q) have the signs of p(a)
+    and p(b), and the sign changes of (x + 1)^n q(1/(x + 1)) bound the
+    number of roots inside.  Halving
+    takes q(x/2) 2^n; the right half is the left half shifted by one.
     """
     p = dense_trim(list(p))
     if len(p) <= 1:
         return []
     out: list[tuple[Fraction, Fraction]] = []
     bound = cauchy_bound(p)
-    if dense_eval(p, QQ(0)) == 0:
+    n = len(p) - 1
+    num, den = bound.numerator, bound.denominator
+    clear = lcm(*(c.denominator for c in p))
+    # p(B x) D^n clear, B = N/D: coefficient i is p_i N^i D^(n-i) clear
+    right = [c.numerator * (clear // c.denominator) * num ** i * den ** (n - i) for i, c in enumerate(p)]
+    if right[0] == 0:
         out.append((QQ(0), QQ(0)))
-    stack = [(-bound, QQ(0)), (QQ(0), bound)]
+    left = _reflect(_shift1(_reflect(right)))  # p(B (x - 1))
+    stack = [(-bound, QQ(0), left), (QQ(0), bound, right)]
     while stack:
-        a, b = stack.pop()
-        # map (a, b) onto (0, 1), then count variations there
-        q = dense_shift(p, a)
-        q = dense_scale(q, b - a)
-        v = _descartes_01(q)
+        a, b, q = stack.pop()
+        v = _sign_changes(_shift1(q[::-1]))
         if v == 0:
             continue
-        fa, fb = dense_eval(p, a), dense_eval(p, b)
-        if v == 1 and fa != 0 and fb != 0:
+        if v == 1 and q[0] != 0 and sum(q) != 0:
             out.append((a, b))
             continue
         m = (a + b) / 2
-        if dense_eval(p, m) == 0:
+        lower = [c << (n - i) for i, c in enumerate(q)]
+        upper = _shift1(lower)
+        if upper[0] == 0:
             out.append((m, m))
-        stack.append((a, m))
-        stack.append((m, b))
+        stack.append((a, m, lower))
+        stack.append((m, b, upper))
     out.sort(key=lambda ab: ab[0])
     return out
 
@@ -498,8 +496,9 @@ def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebr
     return _sign_changes(minus) - _sign_changes(plus)
 
 
-def _sign_changes(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
+def _sign_changes(values: Sequence) -> int:
+    """Sign changes along a sequence, zeros skipped."""
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jelonek.poly import (
     DEFAULT_VARS,
@@ -284,6 +285,43 @@ def test_gcd_divides_and_cofactor_property():
         assert divides(g, p) and divides(g, q)
         gh = gcd_multivar(p * h, q * h)
         assert divides((h * g).normalized(), gh) and divides(gh, (h * g).normalized())
+
+
+def test_gcd_variables_in_one_operand_only():
+    # from the discriminant of the extra-factor map over R
+    p = (3 * x1 ** 6 + 21 * x1 ** 5 + 45 * x1 ** 4 + 6 * x1 ** 3 * y1 + 15 * x1 ** 3 + 10 * x1 ** 2 * y1
+         - 34 * x1 ** 2 - 14 * x1 * y1 - 16 * x1 - 2 * y1 - 34)
+    q = (36 * x1 ** 6 * y2 - 27 * x1 ** 6 + 120 * x1 ** 5 * y2 - 72 * x1 ** 5 - 68 * x1 ** 4 * y2
+         + 137 * x1 ** 4 - 304 * x1 ** 3 * y2 + 310 * x1 ** 3 + 156 * x1 ** 2 * y2 - 192 * x1 ** 2
+         + 56 * x1 * y2 - 116 * x1 + 4 * y2 - 40)
+    assert (len(p.terms), len(q.terms)) == (11, 14)
+    assert gcd_multivar(p, q) == x1 - 1
+    assert gcd_multivar(q, p) == x1 - 1
+    # contents x1 + 1 and x1 - 1 over Q[x1] are coprime
+    assert gcd_multivar((x1 + 1) * (y1 + x1), (x1 - 1) * (y2 ** 2 + x1)) == one
+    assert gcd_multivar(y1 * x1 + 1, x1 * y2 ** 2 - 3) == one
+
+
+def _sparse(terms):
+    return sum((SparsePoly.monomial(exps, c) for exps, c in terms), SparsePoly.zero())
+
+
+def _polys_in(variables, max_deg=2, max_terms=3):
+    coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    exps = st.fixed_dictionaries({v: st.integers(0, max_deg) for v in variables})
+    return st.lists(st.tuples(exps, coeff), min_size=1, max_size=max_terms).map(_sparse)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_polys_in(["x1"]), _polys_in(["x1", "y1"]), _polys_in(["x1", "y2"]))
+def test_gcd_with_unshared_variables_property(g, a, b):
+    if g.is_zero() or a.is_zero() or b.is_zero():
+        return
+    p, q = g * a, g * b
+    h = gcd_multivar(p, q)
+    assert h == h.normalized()
+    assert divides(h, p) and divides(h, q)
+    assert divides(g, h)
 
 
 def test_squarefree():

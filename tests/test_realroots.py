@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -13,12 +14,14 @@ from jelonek.realroots import (
     count_real_solutions,
     count_real_solutions_param,
     isolate_real_roots,
+    isolate_squarefree_dense,
     rational_between,
     rational_roots,
     refine,
     root_bound,
     sheared_resultant,
     sign_at,
+    to_dense,
 )
 
 x1 = SparsePoly.variable("x1")
@@ -57,6 +60,42 @@ def test_isolate_no_real_roots_and_errors():
     assert isolate_real_roots(SparsePoly.constant(5)) == []
     with pytest.raises(PolyError):
         isolate_real_roots(SparsePoly.zero())
+
+
+# Expected (lo, hi) pairs recorded from the Fraction Taylor-shift bisection
+# that preceded the integer one; the bisection tree must not change.
+PINNED_INTERVALS = {
+    "both-sides": (
+        (x1 + 3) * (x1 - 5) * (x1 ** 2 - 2) * (x1 ** 2 - 7 * x1 + 11),
+        [("-331/64", "-331/128"), ("-331/128", "0"), ("331/256", "993/512"),
+         ("993/512", "331/128"), ("2317/512", "4965/1024"), ("4965/1024", "331/64")],
+    ),
+    "root-at-zero": (
+        x1 * (x1 ** 2 - 3) * (x1 + 1),
+        [("-2", "-3/2"), ("-1", "-1"), ("0", "0"), ("1", "2")],
+    ),
+    "midpoint-hits": ((x1 - 1) * (x1 - 2), [("1", "1"), ("2", "2")]),
+    "fraction-coefficients": (
+        (x1 - F(1, 3)) * (x1 + F(5, 7)) * (x1 ** 2 - F(1, 2)) * F(3, 5),
+        [("-3869/5376", "-365/512"), ("-365/512", "-949/1344"), ("0", "73/168"), ("73/168", "73/84")],
+    ),
+    "degree-one": (2 * x1 - 3, [("0", "5/2")]),
+    # degree 10, 251-bit coefficients, no real roots
+    "no-real-roots-wide": (prod((x1 ** 2 + 2 ** 50 + 7 * 3 ** k for k in range(5)), start=x1 ** 0), []),
+    # degree 12, 228-bit coefficients, no real roots; the pairs k +- i sit
+    # close to the axis against a Cauchy bound near 2^228, so the tree is deep
+    "no-real-roots-near-axis": (
+        prod(((x1 ** 2 - 2 * k * x1 + k * k + 1) * (x1 ** 2 + 3 ** k * 2 ** 70) for k in range(1, 4)), start=x1 ** 0),
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_INTERVALS)
+def test_isolate_squarefree_dense_pinned(name):
+    p, expected = PINNED_INTERVALS[name]
+    got = isolate_squarefree_dense(to_dense(p, "x1"))
+    assert got == [(F(lo), F(hi)) for lo, hi in expected]
 
 
 def test_isolation_against_numpy_oracle():
