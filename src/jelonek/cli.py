@@ -10,7 +10,8 @@ x1, x2 with rational coefficients:
     jelonek bound    "f1" "f2"
     jelonek multiplicity "F" "G" --point a,b
 
-Exit codes: 0 success, 2 non-dominant input, 3 parse error.
+Exit codes: 0 success, 1 computation error (``error: ...`` on stderr),
+2 non-dominant input, 3 parse error.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import gcd
 
 from .extension import ExtContext
 from .multiplicity import (
@@ -47,6 +48,7 @@ from .polytope import (
     newton_polygon,
     test_number_of_roots,
     toric_transform,
+    _face_contains_origin,
 )
 from .realroots import (
     SHEAR_CANDIDATES,
@@ -155,12 +157,10 @@ def _edge_parameter_direction(edge: EdgeRecord) -> tuple[int, int]:
     """
     p, q = edge.endpoints
     d = (q[0] - p[0], q[1] - p[1])
-    from math import gcd
-
     g = gcd(abs(d[0]), abs(d[1]))
     e = (d[0] // g, d[1] // g)
     for face in (edge.summand1, edge.summand2):
-        if len(face) == 2 and _face_has_origin(face):
+        if len(face) == 2 and _face_contains_origin(face):
             other = face[1] if face[0] == (0, 0) else face[0]
             if other == (0, 0):
                 continue
@@ -172,15 +172,6 @@ def _edge_parameter_direction(edge: EdgeRecord) -> tuple[int, int]:
     if e[0] < 0 or (e[0] == 0 and e[1] < 0):
         e = (-e[0], -e[1])
     return e
-
-
-def _face_has_origin(face) -> bool:
-    if len(face) == 1:
-        return face[0] == (0, 0)
-    (x0, y0), (x1, y1) = face
-    if x0 * y1 - x1 * y0 != 0:
-        return False
-    return min(x0, x1) <= 0 <= max(x0, x1) and min(y0, y1) <= 0 <= max(y0, y1)
 
 
 def _restricted_coefficients(f: SparsePoly, face, e: tuple[int, int]) -> list[Fraction]:
@@ -261,8 +252,8 @@ def semi_origin_components(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, fld
     vars_ = f1.vars
     P1 = _coeffs_to_poly(a_coeffs, "t", vars_)
     P2 = _coeffs_to_poly(b_coeffs, "t", vars_)
-    o1 = _face_has_origin(edge.summand1)
-    o2 = _face_has_origin(edge.summand2)
+    o1 = _face_contains_origin(edge.summand1)
+    o2 = _face_contains_origin(edge.summand2)
     prov = Provenance(edge_index=edge.index, endpoints=edge.endpoints, flags=edge.flags(),
                       source="origin" if edge.origin else "semi-origin", method=method)
     out: list[Component] = []

@@ -210,14 +210,21 @@ def _rename_z1_to_a(p: SparsePoly) -> SparsePoly:
 # -- Fulton's recursive intersection multiplicity ------------------------------
 
 
-def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: ExtContext | None = None):
-    """Intersection multiplicity of the curves F = 0, G = 0 at the origin.
+def _has_parameters(p: SparsePoly) -> bool:
+    return bool(p.vars_present() & {"y1", "y2"})
 
-    Returns a nonnegative integer, or infinity when F and G share a
-    component through the origin.  Coefficients may live in Q or in a
-    simple extension (supply ``ctx``).
+
+def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
+    """Fulton's recursion for the intersection multiplicity at the z-origin.
+
+    Coefficients live in Q(y1, y2), extended by Q[a]/(m) when ``ctx`` is
+    given.  Returns ``(mult, conditions)``: ``mult`` is the multiplicity
+    valid off the condition curves (infinity when F and G share a component
+    through the origin), and ``conditions`` lists every y-dependent
+    coefficient whose vanishing would raise it.  Without y1, y2 the result
+    is the numeric multiplicity and ``conditions`` is empty.
     """
-    u, v = pair
+    u, v = zvars
 
     def red(p):
         return ctx.reduce(p) if ctx is not None else p
@@ -226,30 +233,30 @@ def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: Ex
         return red(p.eval_rational({u: QQ(0), v: QQ(0)}))
 
     F, G = red(F), red(G)
-    if F.is_zero() or G.is_zero():
-        return FULTON_INFINITY
-    if not origin_value(F).is_zero() or not origin_value(G).is_zero():
-        return 0
-    h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
-    if not h.is_constant() and origin_value(h).is_zero():
-        return FULTON_INFINITY
+    if origin_value(F).is_zero() and origin_value(G).is_zero():
+        if F.is_zero() or G.is_zero():
+            return FULTON_INFINITY, []
+        h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
+        if not h.is_constant() and origin_value(h).is_zero():
+            return FULTON_INFINITY, []
+    conditions: list[SparsePoly] = []
     mult = 0
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 5000:
-            raise PolyError("multiplicity recursion failed to terminate")
+    for _ in range(5000):
         f00 = origin_value(F)
         g00 = origin_value(G)
         if not f00.is_zero() or not g00.is_zero():
-            return mult
+            conditions.extend(val for val in (f00, g00) if _has_parameters(val))
+            return mult, conditions
         pF = red(F.eval_rational({v: QQ(0)}))
         pG = red(G.eval_rational({v: QQ(0)}))
         if pF.is_zero() and pG.is_zero():
-            return FULTON_INFINITY
+            return FULTON_INFINITY, conditions
         if pF.is_zero():
-            F = _divide_monomial(F, v)
+            F = _strip_parameter_content(_divide_monomial(F, v), zvars, ctx)
             nu = pG.min_degree(u)
+            tc = pG.coeff_of(u, nu)
+            if _has_parameters(tc):
+                conditions.append(tc)
             mult += nu
             continue
         if pG.is_zero():
@@ -262,13 +269,36 @@ def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: Ex
         lcF = pF.coeff_of(u, dF)
         lcG = pG.coeff_of(u, dG)
         mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
-        if ctx is None:
-            G = G * lcF - F * lcG * mono
-        else:
-            G = red(G * lcF - F * lcG * mono)
+        G = red(G * lcF - F * lcG * mono)
         if G.is_zero():
-            return FULTON_INFINITY
-        F, G = G, F
+            return FULTON_INFINITY, conditions
+        F, G = _strip_parameter_content(G, zvars, ctx), F
+    raise PolyError("multiplicity recursion failed to terminate")
+
+
+def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: ExtContext | None = None):
+    """Intersection multiplicity of the curves F = 0, G = 0 at the origin.
+
+    Returns a nonnegative integer, or infinity when F and G share a
+    component through the origin.  Coefficients may live in Q or in a
+    simple extension (supply ``ctx``).
+    """
+    return _fulton(F, G, pair, ctx)[0]
+
+
+def fulton_condition_polynomials(G1: SparsePoly, G2: SparsePoly, ctx: ExtContext | None = None,
+                                 zvars=("z1", "z2")) -> tuple[int, list[SparsePoly]]:
+    """Generic multiplicity at the z-origin plus the jump-condition loci.
+
+    Runs the reduction symbolically over the parameter field: the generic
+    branch computes the multiplicity valid off a finite set of condition
+    curves, and every y-dependent coefficient whose vanishing would raise
+    the multiplicity is emitted as a condition polynomial.
+    """
+    mult, conditions = _fulton(G1, G2, zvars, ctx)
+    if mult == FULTON_INFINITY:
+        raise PolyError("shared component through the boundary point")
+    return mult, conditions
 
 
 def _divide_monomial(p: SparsePoly, var: str) -> SparsePoly:
@@ -283,12 +313,11 @@ def _divide_monomial(p: SparsePoly, var: str) -> SparsePoly:
     return SparsePoly(out, p.vars)
 
 
-# -- symbolic Fulton recursion: the multiplicity set ---------------------------
-
-
 def _strip_parameter_content(p: SparsePoly, zvars, ctx: ExtContext | None) -> SparsePoly:
     """Primitive part of p with respect to the z-monomials: divide out the
     gcd of the coefficient polynomials in (y1, y2[, a])."""
+    if not _has_parameters(p):
+        return p
     groups: dict[tuple[int, ...], dict] = {}
     zidx = [p.vars.index(z) for z in zvars]
     for exps, c in p.terms.items():
@@ -308,70 +337,37 @@ def _strip_parameter_content(p: SparsePoly, zvars, ctx: ExtContext | None) -> Sp
     return ext_exact_div(p, acc, ctx) if ctx is not None else exact_div(p, acc)
 
 
-def fulton_condition_polynomials(G1: SparsePoly, G2: SparsePoly, ctx: ExtContext | None = None,
-                                 zvars=("z1", "z2")) -> tuple[int, list[SparsePoly]]:
-    """Generic multiplicity at the z-origin plus the jump-condition loci.
+# -- working at a boundary root rho ----------------------------------------------
 
-    Runs the reduction symbolically over the parameter field: the generic
-    branch computes the multiplicity valid off a finite set of condition
-    curves, and every y-dependent coefficient whose vanishing would raise
-    the multiplicity is emitted as a condition polynomial.
+
+def _shift_to_rho(g1: SparsePoly, g2: SparsePoly, rho: RealAlgebraic):
+    """g1, g2 with z1 -> z1 + rho, and the modulus of rho in ``a``.
+
+    For rational rho the shift is by the rational value and the modulus is
+    None; otherwise rho is written as ``a``, a root of its minimal polynomial.
     """
-    u, v = zvars
+    z1 = SparsePoly.variable("z1", g1.vars)
+    if rho.is_rational():
+        modulus = None
+        shift = z1 + SparsePoly.constant(rho.as_fraction(), g1.vars)
+    else:
+        modulus = rho.minpoly_sparse("a", g1.vars).normalized()
+        shift = z1 + SparsePoly.variable("a", g1.vars)
+    return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift), modulus
 
-    def red(p):
-        return ctx.reduce(p) if ctx is not None else p
 
-    def is_param_constant(p):
-        return not (p.vars_present() & {"y1", "y2"})
+def _at_rho(modulus: SparsePoly | None, rho: RealAlgebraic, compute):
+    """``(modulus, compute(ctx))`` with ctx the arithmetic of Q(rho).
 
-    def origin_value(p):
-        return red(p.eval_rational({u: QQ(0), v: QQ(0)}))
-
-    F, G = red(G1), red(G2)
-    h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
-    if not h.is_constant() and origin_value(h).is_zero():
-        raise PolyError("shared component through the boundary point")
-    conditions: list[SparsePoly] = []
-    mult = 0
-    guard = 0
+    ctx is None when ``modulus`` is None (rational rho), else Q[a]/(modulus);
+    a zero divisor narrows the modulus to the factor that holds rho, and the
+    computation reruns there.
+    """
     while True:
-        guard += 1
-        if guard > 2000:
-            raise PolyError("symbolic recursion failed to terminate")
-        f00 = origin_value(F)
-        g00 = origin_value(G)
-        if not f00.is_zero() or not g00.is_zero():
-            for val in (f00, g00):
-                if not val.is_zero() and not is_param_constant(val):
-                    conditions.append(val)
-            return mult, conditions
-        pF = red(F.eval_rational({v: QQ(0)}))
-        pG = red(G.eval_rational({v: QQ(0)}))
-        if pF.is_zero() and pG.is_zero():
-            raise PolyError("shared component through the boundary point")
-        if pF.is_zero():
-            F = _divide_monomial(F, v)
-            F = _strip_parameter_content(F, zvars, ctx)
-            nu = pG.min_degree(u)
-            tc = pG.coeff_of(u, nu)
-            if not is_param_constant(tc):
-                conditions.append(tc)
-            mult += nu
-            continue
-        if pG.is_zero():
-            F, G = G, F
-            continue
-        dF, dG = pF.degree(u), pG.degree(u)
-        if dF > dG:
-            F, G = G, F
-            continue
-        lcF = pF.coeff_of(u, dF)
-        lcG = pG.coeff_of(u, dG)
-        mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
-        G = red(G * lcF - F * lcG * mono)
-        G = _strip_parameter_content(G, zvars, ctx)
-        F, G = G, F
+        try:
+            return modulus, compute(ExtContext(modulus, "a") if modulus is not None else None)
+        except ZeroDivisor as zd:
+            modulus = _select_modulus_factor(zd.factor, modulus, "a", rho)
 
 
 def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[CurveComponent]:
@@ -379,36 +375,17 @@ def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[CurveComponent]:
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
     if sys.skip:
         return []
-    if rho.is_rational():
-        r = rho.as_fraction()
-        z1 = SparsePoly.variable("z1", sys.g1.vars)
-        shift = z1 + SparsePoly.constant(r, sys.g1.vars)
-        G1 = sys.g1.subs_poly("z1", shift)
-        G2 = sys.g2.subs_poly("z1", shift)
-        _, conds = fulton_condition_polynomials(G1, G2, None)
-        out = []
-        for c in conds:
-            c = c.normalized()
-            for f in _split_factors(c):
-                out.append(CurveComponent(defining=f, kind=classify_defining(f),
-                                          realness="undetermined", rho=rho))
-        return _dedup_components(out)
-    mp = rho.minpoly_sparse("a", sys.g1.vars)
-    z1 = SparsePoly.variable("z1", sys.g1.vars)
-    a = SparsePoly.variable("a", sys.g1.vars)
-    G1 = sys.g1.subs_poly("z1", z1 + a)
-    G2 = sys.g2.subs_poly("z1", z1 + a)
-    results = with_dynamic_splitting(mp, "a", lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+    G1, G2, modulus = _shift_to_rho(sys.g1, sys.g2, rho)
+    modulus, (_, conds) = _at_rho(modulus, rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
     out = []
-    for m_factor, (_, conds) in results:
-        if not _root_in(to_dense(m_factor, "a"), rho.lo, rho.hi):
-            continue
-        for c in conds:
-            cc = c
-            if cc.is_zero():
-                continue
-            out.append(CurveComponent(defining=cc.normalized(), kind=classify_defining(cc),
-                                      realness="undetermined", minpoly=m_factor, rho=rho))
+    for c in conds:
+        if modulus is None:
+            out.extend(CurveComponent(defining=f, kind=classify_defining(f),
+                                      realness="undetermined", rho=rho)
+                       for f in _split_factors(c))
+        else:
+            out.append(CurveComponent(defining=c.normalized(), kind=classify_defining(c),
+                                      realness="undetermined", minpoly=modulus, rho=rho))
     return _dedup_components(out)
 
 
@@ -485,7 +462,7 @@ def discriminant_curve(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
         D = D * p
     if D.is_constant():
         return SparsePoly.constant(1, D.vars)
-    return squarefree_part_multivar(D)
+    return D.normalized()
 
 
 # -- real emptiness test --------------------------------------------------------
@@ -508,34 +485,15 @@ def _eval_y(p: SparsePoly, pt: tuple[Fraction, Fraction]) -> Fraction:
     return v.constant_value()
 
 
-def _specialized_edge_pair(sys: EdgeSystem, pt: tuple[Fraction, Fraction]):
-    g1 = sys.g1.eval_rational({"y1": pt[0], "y2": pt[1]})
-    g2 = sys.g2.eval_rational({"y1": pt[0], "y2": pt[1]})
-    return g1, g2
-
-
 def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction, Fraction]):
     """Intersection multiplicity of the specialized edge system at (rho, 0)."""
-    g1, g2 = _specialized_edge_pair(sys, pt)
-    z1 = SparsePoly.variable("z1", g1.vars)
-    if rho.is_rational():
-        shift = z1 + SparsePoly.constant(rho.as_fraction(), g1.vars)
-        return fulton_multiplicity(g1.subs_poly("z1", shift), g2.subs_poly("z1", shift))
-    minpoly = rho.minpoly_sparse("a", g1.vars)
-    a = SparsePoly.variable("a", g1.vars)
-    G1 = g1.subs_poly("z1", z1 + a)
-    G2 = g2.subs_poly("z1", z1 + a)
-    while True:
-        ctx = ExtContext(minpoly, "a")
-        try:
-            return fulton_multiplicity(G1, G2, ctx=ctx)
-        except ZeroDivisor as zd:
-            minpoly = _select_modulus_factor(zd.factor, minpoly, "a", rho)
+    at_pt = {"y1": pt[0], "y2": pt[1]}
+    G1, G2, modulus = _shift_to_rho(sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt), rho)
+    return _at_rho(modulus, rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx))[1]
 
 
-def _find_rational_point_on(J: SparsePoly, avoid: list[SparsePoly], disc: SparsePoly | None,
-                            rng: random.Random) -> tuple[Fraction, Fraction] | None:
-    """A rational point of V(J) avoiding the other curves, or None."""
+def _find_rational_point_on(J: SparsePoly, rng: random.Random) -> tuple[Fraction, Fraction] | None:
+    """A rational point of V(J), or None."""
     candidates = [QQ(0), QQ(1), QQ(-1), QQ(2), QQ(-2), QQ(1, 2), QQ(-1, 2), QQ(3), QQ(-3)]
     candidates += [QQ(rng.randrange(-30, 31), rng.randrange(1, 6)) for _ in range(6)]
     for fixed_var, free_var in (("y1", "y2"), ("y2", "y1")):
@@ -543,13 +501,9 @@ def _find_rational_point_on(J: SparsePoly, avoid: list[SparsePoly], disc: Sparse
             line = J.eval_rational({fixed_var: c})
             if line.is_zero() or line.degree(free_var) < 1:
                 continue
-            for r in rational_roots(line, free_var):
-                pt = (c, r) if fixed_var == "y1" else (r, c)
-                if disc is not None and _eval_y(disc, pt) == 0:
-                    continue
-                if any(_eval_y(o, pt) == 0 for o in avoid):
-                    continue
-                return pt
+            roots = rational_roots(line, free_var)
+            if roots:
+                return (c, roots[0]) if fixed_var == "y1" else (roots[0], c)
     return None
 
 
@@ -631,7 +585,7 @@ def _odd_jump_shortcut(comp: CurveComponent, sys: EdgeSystem, rng: random.Random
         mp = rho.minpoly_sparse("a", R12.vars)
         ctx = ExtContext(mp, "a")
         J1 = ctx.reduce(_rename_z1_to_a(R12))
-    p_rat = _find_rational_point_on(J, [], None, rng)
+    p_rat = _find_rational_point_on(J, rng)
     if p_rat is None:
         return None
     for _ in range(40):
@@ -685,7 +639,7 @@ def emptiness_test(comp: CurveComponent, sys: EdgeSystem, f1: SparsePoly, f2: Sp
         disc = disc_supplier()
         if disc is None or disc.is_zero():
             return "undetermined"
-        return _scan_and_count(comp, J, f1, f2, avoid, disc, rng)
+        return _scan_and_count(J, f1, f2, avoid, disc)
     except (PolyError, ZeroDivisor):
         return "undetermined"
 
@@ -701,8 +655,8 @@ def _strip_shared(p: SparsePoly, J: SparsePoly) -> SparsePoly:
     return out
 
 
-def _scan_and_count(comp: CurveComponent, J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                    avoid: list[SparsePoly], disc: SparsePoly, rng: random.Random) -> str:
+def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
+                    avoid: list[SparsePoly], disc: SparsePoly) -> str:
     # the elimination-based discriminant may contain the component itself (as
     # a spurious factor or genuinely); its shared part must not veto the scan
     # points -- fiber regularity is certified pointwise by exact counting.
@@ -727,14 +681,13 @@ def _scan_and_count(comp: CurveComponent, J: SparsePoly, f1: SparsePoly, f2: Spa
             # p must avoid the other curves and the discriminant
             if any(compare(p_free, o) == 0 for o in obstacles):
                 continue
-            verdict = _verdict_at_point(comp, J, f1, f2, line, p_free, roots, obstacles)
+            verdict = _verdict_at_point(f1, f2, line, p_free, roots, obstacles)
             if verdict is not None:
                 return verdict
     return "undetermined"
 
 
-def _verdict_at_point(comp: CurveComponent, J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                      line: _ScanLine, p_free: RealAlgebraic,
+def _verdict_at_point(f1: SparsePoly, f2: SparsePoly, line: _ScanLine, p_free: RealAlgebraic,
                       own_roots: list[RealAlgebraic], obstacles: list[RealAlgebraic]) -> str | None:
     crossings = obstacles + [r for r in own_roots if compare(r, p_free) != 0]
     left = [r for r in crossings if compare(r, p_free) < 0]

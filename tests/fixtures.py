@@ -11,6 +11,10 @@ verified every entry (see test_acceptance).
 INTRO_F1 = "1 + 2*x1*x2 - x1^2*x2^3"
 INTRO_F2 = "5 + 12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5"
 
+# the first curated map with (x1 - 1) replaced by x1^2 - 3: its pertinent
+# boundary roots are irrational, +-sqrt(3)
+IRRATIONAL_BOUNDARY = ("1 + x2^2*(x1^2-3)^2*(x1+2)", "1 + x1*x2^2 + x2^4*(x1^2-3)^2")
+
 # the larger worked example, with the sign of x1^7*x2^2 fixed to the value
 # consistent with its own per-edge outputs (see the decisions ledger)
 BIG_F1 = "1 + x1*x2 + 2*x1^2*x2^2 - 7/10*x1^2*x2 - 3*x1^3*x2^2"

@@ -101,6 +101,11 @@ def test_multiplicity_command(capsys):
     assert code == 0 and out.strip() == "2"
     code, out, _ = run(capsys, ["multiplicity", "x1*x2", "x1*x2 + x1^3", "--point", "0,0"])
     assert out.strip() == "infinity"
+    # the zero polynomial contains every curve, but F = x1 misses (1, 0)
+    code, out, _ = run(capsys, ["multiplicity", "x1", "0", "--point", "1,0"])
+    assert code == 0 and out.strip() == "0"
+    code, out, _ = run(capsys, ["multiplicity", "x1 - 1", "0", "--point", "1,0"])
+    assert code == 0 and out.strip() == "infinity"
 
 
 def test_stdin_input(capsys, monkeypatch):

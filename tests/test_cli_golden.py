@@ -12,10 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import CURATED, INTRO_F1, INTRO_F2
+from fixtures import CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
 from jelonek.cli import main
 
-IRRATIONAL_BOUNDARY = ("1 + x2^2*(x1^2-3)^2*(x1+2)", "1 + x1*x2^2 + x2^4*(x1^2-3)^2")
 NONEMPTY_LINE = CURATED[1][1:3]
 # the intro map without its constant terms: the pipeline translates it first
 INTRO_SHIFTED = ("2*x1*x2 - x1^2*x2^3", "12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5")

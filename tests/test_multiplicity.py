@@ -5,18 +5,32 @@ from fractions import Fraction as F
 
 import pytest
 
+from fixtures import CURATED, IRRATIONAL_BOUNDARY
 from jelonek.parsing import parse_polynomial as P
-from jelonek.poly import PolyError, SparsePoly, gcd_multivar, resultant, squarefree_part_multivar
+from jelonek.poly import (
+    PolyError,
+    SparsePoly,
+    gcd_multivar,
+    resultant,
+    squarefree_decomposition,
+    squarefree_part_multivar,
+)
 from jelonek.core import edge_transform, minkowski_sum, newton_polygon, sparse_jelonek_2, Options
+from jelonek.extension import ZeroDivisor
 from jelonek.multiplicity import (
     FULTON_INFINITY,
     discriminant_curve,
+    fulton_condition_polynomials,
     fulton_multiplicity,
     ms_fulton,
     ms_resultant,
     norm_form,
+    _at_rho,
+    _find_rational_point_on,
+    _multiplicity_at_rho,
+    _shift_to_rho,
 )
-from jelonek.realroots import isolate_real_roots, rational_roots
+from jelonek.realroots import isolate_real_roots, rational_roots, sign_at
 
 x1 = SparsePoly.variable("x1")
 x2 = SparsePoly.variable("x2")
@@ -99,6 +113,9 @@ def test_fulton_multiplicity_basics():
     assert fulton_multiplicity(z2 - z1 ** 2, z2) == 2
     assert fulton_multiplicity(z1 + 1, z2) == 0
     assert fulton_multiplicity(z1 * z2, z1 * (z1 - z2)) == FULTON_INFINITY
+    # a zero operand contains every curve: I(F, 0) is 0 off F and infinite on it
+    assert fulton_multiplicity(z1 + 1, SparsePoly.zero()) == 0
+    assert fulton_multiplicity(z1, SparsePoly.zero()) == FULTON_INFINITY
     # generic line products: mu = m * n
     rng = random.Random(11)
     for _ in range(8):
@@ -119,6 +136,16 @@ def test_fulton_multiplicity_symmetric_and_translated():
     assert fulton_multiplicity(Fp, Gp) == fulton_multiplicity(Gp, Fp)
 
 
+def test_fulton_condition_polynomials_trailing_coefficient():
+    # F = z2 is divided out, and the multiplicity is the order in z1 of G on
+    # z2 = 0, which rises where its trailing coefficient y1 - 1 vanishes
+    G = (y1 - 1) * z1 + z1 ** 2 + z2 ** 2
+    assert fulton_condition_polynomials(z2, G) == (1, [y1 - 1])
+    assert fulton_multiplicity(z2, G.eval_rational({"y1": 1})) == 2
+    with pytest.raises(PolyError):
+        fulton_condition_polynomials(z2 * (z1 - y1 * z2), z2 * G)
+
+
 def test_ms_fulton_intro():
     sys = intro_edge_system()
     rho = [r for r, _ in isolate_real_roots(sys.g, "z1")][0]
@@ -136,6 +163,61 @@ def test_ms_fulton_matches_ms_resultant_zero_sets():
     res_set = sorted(str(c.defining.normalized()) for c in res_comps)
     ful_set = sorted(str(c.defining.normalized()) for c in ful_comps)
     assert res_set == ful_set
+
+
+def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
+    # off every condition curve, the numeric multiplicity of the edge system
+    # specialized at a target point equals the generic multiplicity of the
+    # symbolic recursion, at rational and at irrational boundary roots; at a
+    # rational point on a condition curve over Q it jumps above it
+    texts = [IRRATIONAL_BOUNDARY] + [(a, b) for _, a, b, _, _ in CURATED]
+    rng = random.Random(8)
+    checked = jumps = 0
+    for f1, f2 in dict.fromkeys(texts):
+        f1, f2 = P(f1), P(f2)
+        A, records = minkowski_sum(newton_polygon(f1), newton_polygon(f2))
+        for edge in records:
+            if not (edge.pertinent and edge.infinity):
+                continue
+            sys = edge_transform(f1, f2, edge, A)
+            if sys.skip:
+                continue
+            for factor, _ in squarefree_decomposition(sys.g, "z1"):
+                for rho, _ in isolate_real_roots(factor, "z1"):
+                    G1, G2, modulus = _shift_to_rho(sys.g1, sys.g2, rho)
+                    _, (mult, conds) = _at_rho(
+                        modulus, rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+                    for _ in range(6):
+                        pt = (F(rng.randrange(-40, 41), rng.randrange(1, 6)),
+                              F(rng.randrange(-40, 41), rng.randrange(1, 6)))
+                        values = [c.eval_rational({"y1": pt[0], "y2": pt[1]}) for c in conds]
+                        if any(v.is_zero() or (not v.is_constant() and sign_at(v, rho, "a") == 0)
+                               for v in values):
+                            continue
+                        assert _multiplicity_at_rho(sys, rho, pt) == mult
+                        checked += 1
+                    for c in conds:
+                        pt = _find_rational_point_on(c, rng) if c.degree("a") <= 0 else None
+                        if pt is not None:
+                            assert _multiplicity_at_rho(sys, rho, pt) > mult
+                            jumps += 1
+    assert checked >= 40 and jumps >= 5
+
+
+def test_at_rho_narrows_the_modulus_to_the_factor_holding_rho():
+    a = SparsePoly.variable("a")
+    modulus = ((a ** 2 - 2) * (a ** 2 - 3)).normalized()
+    sqrt3 = max((r for r, _ in isolate_real_roots(modulus, "a")), key=lambda r: r.to_float())
+    calls = []
+
+    def compute(ctx):
+        calls.append(ctx.minpoly)
+        if len(calls) == 1:
+            raise ZeroDivisor(a ** 2 - 2)
+        return "done"
+
+    assert _at_rho(modulus, sqrt3, compute) == ((a ** 2 - 3).normalized(), "done")
+    assert calls == [modulus, (a ** 2 - 3).normalized()]
 
 
 def test_multiplicity_accumulation_invariant():
