@@ -99,10 +99,6 @@ def _read_map(args) -> tuple[SparsePoly, SparsePoly]:
     return parse_polynomial(s1), parse_polynomial(s2)
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _poly_json(p: SparsePoly | None) -> str | None:
     return None if p is None else poly_to_str(p)
 
@@ -112,8 +108,8 @@ def _rho_json(c: Component):
         return None
     r = c.rho.refined(QQ(1, 10 ** 6))
     return {
-        "minpoly": "+".join([]) or _dense_str(r.dense),
-        "interval": [_fraction_str(r.lo), _fraction_str(r.hi)],
+        "minpoly": _dense_str(r.dense),
+        "interval": [str(r.lo), str(r.hi)],
         "approx": r.to_float(),
     }
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
 
-from .extension import ExtContext
+from .extension import ExtContext, with_dynamic_splitting
 from .multiplicity import (
     CurveComponent,
     EdgeSystem,
@@ -25,9 +25,11 @@ from .multiplicity import (
     ms_fulton,
     ms_resultant,
     norm_form,
+    _rename_z1_to_a,
     _split_factors,
 )
 from .poly import (
+    DEFAULT_VARS,
     PolyError,
     QQ,
     SparsePoly,
@@ -370,9 +372,6 @@ def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
                 out.extend(ms_fulton(sys, root))
         return out
     # complex: dynamic splitting over the full squarefree part
-    from .extension import with_dynamic_splitting
-    from .multiplicity import _rename_z1_to_a
-
     gsf = squarefree_part(sys.g, "z1")
     if gsf.degree("z1") < 1:
         return []
@@ -548,8 +547,6 @@ def DEFAULT_UNIVERSE_OF(c: Component):
         return c.defining.vars
     if c.param is not None:
         return c.param[0].vars
-    from .poly import DEFAULT_VARS
-
     return DEFAULT_VARS
 
 

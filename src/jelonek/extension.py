@@ -335,7 +335,7 @@ def _ext_normal(p: SparsePoly, ctx: ExtContext) -> SparsePoly:
     return ctx.reduce(p * ctx.inverse(lead_elem))
 
 
-def split_minpoly(minpoly: SparsePoly, factor: SparsePoly, var: str) -> list[SparsePoly]:
+def split_minpoly(minpoly: SparsePoly, factor: SparsePoly) -> list[SparsePoly]:
     f = factor.normalized()
     co = exact_div(minpoly.normalized(), f).normalized()
     return [f, co]
@@ -356,7 +356,7 @@ def with_dynamic_splitting(minpoly: SparsePoly, var: str,
         try:
             out.append((m, compute(ExtContext(m, var))))
         except ZeroDivisor as zd:
-            pending.extend(split_minpoly(m, zd.factor, var))
+            pending.extend(split_minpoly(m, zd.factor))
     out.sort(key=lambda fr: str(fr[0]))
     return out
 

@@ -11,11 +11,13 @@ The canonical term order is graded lexicographic with respect to the
 universe order, so structural equality of dictionaries is equality of
 polynomials.
 
-The public API is ``Fraction``-based throughout.  Eliminations run inside
-on integer coefficients with packed monomials: ``resultant`` and
-``resultant_and_penultimate`` clear denominators and monomial factors on
-entry, run one subresultant engine on ``int`` coefficients keyed by packed
-integer monomials, and convert back to an equal ``SparsePoly`` on exit.
+The public API is ``Fraction``-based throughout.  Eliminations and exact
+division run inside on integer coefficients with packed monomials:
+``resultant`` and ``resultant_and_penultimate`` clear denominators and
+monomial factors on entry, run one subresultant engine on ``int``
+coefficients keyed by packed integer monomials, and convert back to an
+equal ``SparsePoly`` on exit; ``exact_div`` packs both operands the same
+way and runs the engine's heap division.
 """
 
 from __future__ import annotations
@@ -446,24 +448,61 @@ def poly_to_str(p: SparsePoly) -> str:
 
 
 def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
-    """Exact quotient p/q; raises :class:`PolyError` if q does not divide p."""
+    """Exact quotient p/q; raises :class:`PolyError` if q does not divide p.
+
+    The quotient must be a polynomial: one that needs a negative exponent
+    raises, also when p and q are Laurent.  The division runs in the
+    engine's representation (see below): p times the lcm of its
+    denominators and q over its rational content are packed, each offset by
+    its own minimum exponents, and ``_iquo`` divides.  In every variable a
+    quotient's exponents lie in the box [min p - min q, max p - max q], and
+    ``_iquo`` raises on the first quotient term outside it.
+    """
     q = p._check(q)
     if q.is_zero():
         raise PolyError("division by zero polynomial")
     if p.is_zero():
         return p
-    lead_q, lc_q = q.leading_term()
-    rem = p
-    quot: dict[tuple[int, ...], Fraction] = {}
-    while not rem.is_zero():
-        lead_r, lc_r = rem.leading_term()
-        e = tuple(a - b for a, b in zip(lead_r, lead_q))
-        if any(x < 0 for x in e):
+    if q.is_constant():
+        if min(map(min, p.terms)) < 0:
             raise PolyError("not divisible")
-        c = lc_r / lc_q
-        quot[e] = quot.get(e, QQ(0)) + c
-        rem = rem - q * SparsePoly({e: c}, p.vars)
-    return SparsePoly(quot, p.vars)
+        return p.scale(1 / q.constant_value())
+    low: list[int] = []  # the quotient's least exponent in each variable
+    live: list[tuple[int, int, int, int]] = []  # (index, min p, min q, box span)
+    width = 0
+    for i, (ep, eq) in enumerate(zip(zip(*p.terms), zip(*q.terms))):
+        lo_p, hi_p, lo_q = min(ep), max(ep), min(eq)
+        lo, span = lo_p - lo_q, hi_p - max(eq) - lo_p + lo_q
+        if lo < 0 or span < 0:
+            raise PolyError("not divisible")
+        low.append(lo)
+        if hi_p > lo_p:
+            live.append((i, lo_p, lo_q, span))
+            width = max(width, (hi_p - lo_p).bit_length())
+    # The offset exponents of p, of q and of every product formed during the
+    # division stay below 2^width once each quotient term lies in the box, so
+    # fields never carry.  The bit above each field is a guard: subtracting
+    # keys whose fields are below 2^width sets the guard of the lowest field
+    # that went negative.
+    shifts = range(0, (width + 1) * len(live), width + 1)
+    guard = sum(1 << (s + width) for s in shifts)
+    hi = sum(span << s for (_, _, _, span), s in zip(live, shifts))
+    den, cq = p.rational_content().denominator, q.rational_content()
+    P = {sum((e[i] - lo) << s for (i, lo, _, _), s in zip(live, shifts)): c.numerator * (den // c.denominator)
+         for e, c in p.terms.items()}
+    Q = {sum((e[i] - lo) << s for (i, _, lo, _), s in zip(live, shifts)): int(c / cq)
+         for e, c in q.terms.items()}
+    # q = cq * Q with Q primitive, so by Gauss's lemma Q divides the integer
+    # P = den * p over Q iff it does over Z, and every quotient term is exact
+    scale = 1 / (cq * den)
+    mask = (1 << width) - 1
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for key, t in _iquo(P, Q, hi, guard).items():
+        e = list(low)
+        for (i, _, _, _), s in zip(live, shifts):
+            e[i] += key >> s & mask
+        terms[tuple(e)] = t * scale
+    return SparsePoly(terms, p.vars)
 
 
 def divides(q: SparsePoly, p: SparsePoly) -> bool:
@@ -679,15 +718,18 @@ def _ipow(a: dict[int, int], n: int) -> dict[int, int]:
     return out
 
 
-def _iquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Exact quotient a / b (b divides a), by lex-ordered division.
+def _iquo(a: dict[int, int], b: dict[int, int], hi: int = 0, guard: int = 0) -> dict[int, int]:
+    """Exact quotient a / b, by lex-ordered division; raises if b does not divide a.
 
     The remainder's leading key comes from a max-heap; each quotient term
     cancels it.  Keys made zero are dropped and their heap entries skipped.
+    With ``guard`` set (the bit above each field), a quotient key must have
+    every field between 0 and that of ``hi``; the engine's field widths need
+    no such check.
     """
     kb = max(b)
     cb = b[kb]
-    rest = [(k - kb, c) for k, c in b.items() if k != kb]
+    rest = [(k, c) for k, c in b.items() if k != kb]
     r = dict(a)
     heap = [-k for k in r]
     heapify(heap)
@@ -698,11 +740,12 @@ def _iquo(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         if not c:
             continue
         t, rem = divmod(c, cb)
-        if rem:
-            raise PolyError("inexact division in the subresultant engine")
-        out[k - kb] = t
-        for off, cc in rest:
-            kk = k + off
+        k -= kb
+        if rem or guard and (k | hi - k) & guard:
+            raise PolyError("not divisible")
+        out[k] = t
+        for kc, cc in rest:
+            kk = k + kc
             v = r.get(kk)
             if v is None:
                 r[kk] = -t * cc

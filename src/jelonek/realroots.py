@@ -29,8 +29,10 @@ from .extension import (
     ext_gcd_univar,
     ext_monic,
     ext_squarefree_decomposition,
+    split_minpoly,
 )
 from .poly import (
+    DEFAULT_VARS,
     PolyError,
     QQ,
     SparsePoly,
@@ -60,8 +62,6 @@ def to_dense(p: SparsePoly, var: str) -> list[Fraction]:
 
 
 def from_dense(coeffs: Sequence[Fraction], var: str, variables=None) -> SparsePoly:
-    from .poly import DEFAULT_VARS
-
     variables = tuple(variables) if variables is not None else DEFAULT_VARS
     i = variables.index(var)
     terms = {}
@@ -606,12 +606,8 @@ def count_real_solutions_param(f1: SparsePoly, f2: SparsePoly, pvar: str, alpha:
 
 
 def _select_modulus_factor(factor: SparsePoly, minpoly: SparsePoly, pvar: str, alpha: RealAlgebraic) -> SparsePoly:
-    from .poly import exact_div
-
-    f = factor.normalized()
-    if _root_in(to_dense(f, pvar), alpha.lo, alpha.hi):
-        return f
-    return exact_div(minpoly.normalized(), f).normalized()
+    f, co = split_minpoly(minpoly, factor)
+    return f if _root_in(to_dense(f, pvar), alpha.lo, alpha.hi) else co
 
 
 def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealAlgebraic, minpoly: SparsePoly) -> tuple[int, int]:

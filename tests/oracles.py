@@ -13,10 +13,36 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from jelonek.poly import SparsePoly, resultant
+from jelonek.poly import PolyError, SparsePoly, resultant
 from jelonek.realroots import rational_roots
 
 ESCAPE_NORM = 1e6
+
+
+def grlex_exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
+    """Reference exact division: cancel the graded-lex leading term of the
+    remainder until it vanishes, on ``SparsePoly`` arithmetic.
+
+    Raises :class:`PolyError` when a quotient term would need a negative
+    exponent, which for rational coefficients is exactly when q does not
+    divide p with a polynomial quotient.
+    """
+    if q.is_zero():
+        raise PolyError("division by zero polynomial")
+    if p.is_zero():
+        return p
+    lead_q, lc_q = q.leading_term()
+    rem = p
+    quot: dict[tuple[int, ...], F] = {}
+    while not rem.is_zero():
+        lead_r, lc_r = rem.leading_term()
+        e = tuple(a - b for a, b in zip(lead_r, lead_q))
+        if any(x < 0 for x in e):
+            raise PolyError("not divisible")
+        c = lc_r / lc_q
+        quot[e] = quot.get(e, F(0)) + c
+        rem = rem - q * SparsePoly({e: c}, p.vars)
+    return SparsePoly(quot, p.vars)
 
 
 def _specialize_exact(sym: SparsePoly, y: tuple[F, F], var: str) -> list[F]:

@@ -21,6 +21,7 @@ from jelonek.poly import (
     squarefree_part,
 )
 from jelonek.parsing import parse_polynomial as P
+from oracles import grlex_exact_div
 
 
 x1 = SparsePoly.variable("x1")
@@ -306,9 +307,9 @@ def _sparse(terms):
     return sum((SparsePoly.monomial(exps, c) for exps, c in terms), SparsePoly.zero())
 
 
-def _polys_in(variables, max_deg=2, max_terms=3):
+def _polys_in(variables, max_deg=2, max_terms=3, min_deg=0):
     coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-    exps = st.fixed_dictionaries({v: st.integers(0, max_deg) for v in variables})
+    exps = st.fixed_dictionaries({v: st.integers(min_deg, max_deg) for v in variables})
     return st.lists(st.tuples(exps, coeff), min_size=1, max_size=max_terms).map(_sparse)
 
 
@@ -349,6 +350,79 @@ def test_exact_div_and_divides():
     assert exact_div(p, x1 + x2) == x1 - 2 * x2 + 1
     assert divides(x1 + x2, p)
     assert not divides(x1 - x2, p)
+
+
+def _quotient_or_error(p, q, div):
+    try:
+        return div(p, q)
+    except PolyError:
+        return "not divisible"
+
+
+def _small_laurent(max_terms=4, min_deg=-2, variables=("x1", "x2", "y2", "a")):
+    return _polys_in(variables, max_deg=4, max_terms=max_terms, min_deg=min_deg)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.one_of(_small_laurent(min_deg=0), _small_laurent(), _small_laurent(max_terms=1),
+              _small_laurent(max_terms=1, variables=())),
+    st.one_of(_small_laurent(min_deg=0), _small_laurent()),
+    _small_laurent(max_terms=2),
+    st.sampled_from(["product", "perturbed", "swapped"]),
+)
+def test_exact_div_matches_grlex_reference(q, h, extra, pair):
+    """Divisible products, perturbed products and swapped operands (a divisor
+    wider than the dividend), with Laurent, monomial and constant divisors:
+    the packed division agrees with the graded-lex reference, quotient for
+    quotient, and raises exactly when the reference does."""
+    if q.is_zero() or h.is_zero():
+        return
+    p = q * h
+    if pair == "perturbed":
+        p = p + extra
+    elif pair == "swapped":
+        p, q = q, p
+    assert _quotient_or_error(p, q, exact_div) == _quotient_or_error(p, q, grlex_exact_div)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_exact_div_at_field_boundaries(k):
+    """Exponents 2^k - 1 and 2^k side by side in neighbouring variables, where
+    a field one bit too narrow carries and a missed borrow goes unseen."""
+    a, b = 2 ** k - 1, 2 ** k
+    h = x1 ** a * x2 ** b + x1 ** b - 3 * x2 ** a + 1
+    q = x1 ** b * x2 + x2 ** a - 2
+    p = h * q
+    shift = SparsePoly.monomial({"x1": -b, "x2": -a})
+    # quotients that reach the top of a field of span 2^k - 1 or 2^k
+    h_top, q_low = x1 ** b * x2 ** a - x1 ** a * x2 ** b + 2 * x1 - 1, x1 - x2 + 3
+    h_span, q_span = x1 ** (a - 1) - x2 ** (a - 1), x1 * x2 + 1
+    cases = [
+        (p, q, h),
+        (p, h, q),
+        (h_top * q_low, q_low, h_top),
+        (h_top * q_low, h_top, q_low),
+        (h_span * q_span, q_span, h_span),
+        # x1 + 1 divides the packed dividend as a univariate polynomial in the
+        # key, so only the per-term box check stands between it and a quotient
+        (x2 ** b - x1 ** (a - 1), x1 + 1, "not divisible"),
+        (p * shift, q * shift, h),  # Laurent operands, polynomial quotient
+        (p * shift, q, "not divisible"),  # the quotient needs x1^-b
+        (p + x1 ** a, q, "not divisible"),
+        (p + x1 ** b * x2 ** b, h, "not divisible"),
+        # the remainder's lead x2^b over q's lead x1*x2^a borrows from the x2 field
+        (x2 ** b + x1 ** 2, x1 * x2 ** a + 1, "not divisible"),
+        (x2 ** b * x1 ** a + x1 ** b, x1 ** b * x2 ** a + 1, "not divisible"),
+        (x1 ** a + x2, x1 ** b + 1, "not divisible"),  # divisor wider in x1
+        (x1 ** b * x2 ** a, x1 ** a * x2 ** a, x1),  # monomial divisor
+        (3 * p, F(3, 2), 2 * p),  # constant divisor
+        (p * shift, F(3, 2), "not divisible"),  # constant divisor, Laurent dividend
+    ]
+    for dividend, divisor, expected in cases:
+        divisor = dividend._check(divisor)
+        assert _quotient_or_error(dividend, divisor, exact_div) == expected
+        assert _quotient_or_error(dividend, divisor, grlex_exact_div) == expected
 
 
 def test_leading_trailing_coeffs():
