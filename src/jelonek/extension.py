@@ -176,25 +176,33 @@ def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> l
     return out
 
 
-def ext_content_wrt_main(p: SparsePoly, main: str, ctx: ExtContext) -> tuple[SparsePoly, SparsePoly]:
-    """Content/primitive split of p in ``main`` over (Q[a]/(m))[coeff vars].
+def ext_content_wrt(p: SparsePoly, inner_vars, ctx: ExtContext) -> tuple[SparsePoly, SparsePoly]:
+    """Split p = content * primitive over Q[a]/(m) with content in ``inner_vars``.
 
-    Coefficients of powers of ``main`` live in the remaining (non-extension)
-    variables; their gcd over the extension is computed recursively.
+    The polynomial is viewed in the variables outside ``inner_vars`` and the
+    extension variable, with coefficients in (Q[a]/(m))[inner_vars]; the
+    content is the gcd of those coefficients over the extension.  May raise
+    :class:`ZeroDivisor`.
     """
-    coeffs = [c for c in p.as_univariate(main) if not c.is_zero()]
-    if not coeffs:
+    if p.is_zero():
         raise PolyError("zero polynomial")
-    acc = coeffs[0]
+    keep = set(inner_vars) | {ctx.var}
+    outer_idx = [i for i, v in enumerate(p.vars) if v not in keep]
+    groups: dict[tuple[int, ...], dict] = {}
+    for exps, c in p.terms.items():
+        within = list(exps)
+        for i in outer_idx:
+            within[i] = 0
+        groups.setdefault(tuple(exps[i] for i in outer_idx), {})[tuple(within)] = c
+    coeffs = [SparsePoly(m, p.vars) for m in groups.values()]
+    content = coeffs[0]
     for c in coeffs[1:]:
-        acc = ext_gcd_multivar(acc, c, ctx)
-        if acc.degree(ctx.var) == 0 and acc.is_constant():
+        content = ext_gcd_multivar(content, c, ctx)
+        if content.is_constant():
             break
-    content = acc
-    if content.is_constant() and content.constant_value() == 1:
-        return content, p
-    primitive = ext_exact_div(p, content, ctx)
-    return content, primitive
+    if content.is_constant():
+        return SparsePoly.constant(1, p.vars), p
+    return content, ext_exact_div(p, content, ctx)
 
 
 def ext_exact_div(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
@@ -250,8 +258,10 @@ def ext_divmod_general(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext)
 def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
     """Gcd of multivariate polynomials over Q[a]/(m), monic-normalized.
 
-    Primitive pseudo-remainder sequence in the last present variable with
-    recursive content extraction.  May raise :class:`ZeroDivisor`.
+    An operand with variables the other lacks is first replaced by its
+    content over the common variables, as in :func:`gcd_multivar`; then a
+    primitive pseudo-remainder sequence runs in the last common variable
+    with recursive content extraction.  May raise :class:`ZeroDivisor`.
     """
     p = ctx.reduce(p)
     q = ctx.reduce(q)
@@ -268,9 +278,16 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
     common = pv & qv
     if not common:
         return SparsePoly.constant(1, p.vars)
+    # a common factor lives in the common variables, so it divides the
+    # content of each operand over (Q[a]/(m))[common]
+    if pv != common:
+        return ext_gcd_multivar(ext_content_wrt(p, common, ctx)[0], q, ctx)
+    if qv != common:
+        return ext_gcd_multivar(p, ext_content_wrt(q, common, ctx)[0], ctx)
     main = [v for v in p.vars if v in common][-1]
-    cp, pp = ext_content_wrt_main(p, main, ctx)
-    cq, qq = ext_content_wrt_main(q, main, ctx)
+    coeff_vars = [v for v in p.vars if v != main]
+    cp, pp = ext_content_wrt(p, coeff_vars, ctx)
+    cq, qq = ext_content_wrt(q, coeff_vars, ctx)
     if cp.is_constant() and cq.is_constant():
         cont = SparsePoly.constant(1, p.vars)
     else:
@@ -289,10 +306,10 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
         if r.is_zero():
             g = b
             break
-        _, r = ext_content_wrt_main(r, main, ctx)
+        _, r = ext_content_wrt(r, coeff_vars, ctx)
         a, b = b, r
     if not g.is_constant():
-        _, g = ext_content_wrt_main(g, main, ctx)
+        _, g = ext_content_wrt(g, coeff_vars, ctx)
     return _ext_normal(ctx.reduce(cont * g), ctx)
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .extension import (
     ExtContext,
     ZeroDivisor,
-    ext_exact_div,
+    ext_content_wrt,
     ext_gcd_multivar,
     with_dynamic_splitting,
 )
@@ -318,23 +318,8 @@ def _strip_parameter_content(p: SparsePoly, zvars, ctx: ExtContext | None) -> Sp
     gcd of the coefficient polynomials in (y1, y2[, a])."""
     if not _has_parameters(p):
         return p
-    groups: dict[tuple[int, ...], dict] = {}
-    zidx = [p.vars.index(z) for z in zvars]
-    for exps, c in p.terms.items():
-        key = tuple(exps[i] for i in zidx)
-        inner = list(exps)
-        for i in zidx:
-            inner[i] = 0
-        groups.setdefault(key, {})[tuple(inner)] = c
-    coeffs = [SparsePoly(m, p.vars) for m in groups.values()]
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = ext_gcd_multivar(acc, c, ctx) if ctx is not None else gcd_multivar(acc, c)
-        if acc.is_constant():
-            return p
-    if acc.is_constant():
-        return p
-    return ext_exact_div(p, acc, ctx) if ctx is not None else exact_div(p, acc)
+    inner = [v for v in p.vars if v not in zvars]
+    return ext_content_wrt(p, inner, ctx)[1] if ctx is not None else content_wrt(p, inner)[1]
 
 
 # -- working at a boundary root rho ----------------------------------------------

@@ -283,19 +283,22 @@ class SparsePoly:
     def eval_rational(self, assignment: Mapping[str, Fraction]) -> "SparsePoly":
         """Substitute rational values for some variables (partial evaluation)."""
         idx = {self._idx(v): _as_fraction(x) for v, x in assignment.items()}
+        # a term with a positive power of a variable set to 0 vanishes
+        zero = [i for i, x in idx.items() if x == 0]
+        idx = {i: x for i, x in idx.items() if x != 0}
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
+            if any(exps[i] for i in zero):
+                if any(exps[i] < 0 for i in zero):
+                    raise PolyError("evaluating negative power at zero")
+                continue
             val = c
             e = list(exps)
             for i, x in idx.items():
                 k = e[i]
-                e[i] = 0
                 if k != 0:
-                    if x == 0 and k < 0:
-                        raise PolyError("evaluating negative power at zero")
+                    e[i] = 0
                     val *= x ** k
-            if val == 0:
-                continue
             e = tuple(e)
             s = out.get(e, QQ(0)) + val
             if s == 0:

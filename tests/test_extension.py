@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jelonek.poly import PolyError, SparsePoly, gcd_multivar
 from jelonek.extension import (
@@ -12,12 +13,14 @@ from jelonek.extension import (
     ext_gcd_multivar,
     ext_squarefree_decomposition,
     gcd_mod_minpoly,
+    with_dynamic_splitting,
 )
 
 a = SparsePoly.variable("a")
 y1 = SparsePoly.variable("y1")
 y2 = SparsePoly.variable("y2")
 z1 = SparsePoly.variable("z1")
+z2 = SparsePoly.variable("z2")
 
 
 def test_reduce_and_inverse():
@@ -123,3 +126,48 @@ def test_ext_gcd_multivar_bivariate():
     from jelonek.extension import _ext_normal
 
     assert ctx.reduce(g - _ext_normal(common, ctx)).is_zero()
+
+
+
+@pytest.mark.parametrize("modulus, p, q, expected", [
+    (a - 2, (z1 - a * z2) * (y1 + z2), (z1 - a * z2) * (y2 * z1 + 1),
+     [("a - 2", "z1 - 2*z2")]),
+    (3 * a + 1, (z1 + a) * (y1 * y2 + z1), (z1 + a) * (y2 * z2 - 1) * (z1 - 1),
+     [("3*a + 1", "z1 - 1/3")]),
+    (a ** 2 - 3, (z1 ** 2 - 3 * z2 ** 2) * (y1 + z1), (z1 - a * z2) * (y2 + z2),
+     [("a^2 - 3", "-z2*a + z1")]),
+    (a ** 2 - 3, (z1 - a * z2) * (y1 + z1), (z1 + a * z2) * (y2 * z2 + 1),
+     [("a^2 - 3", "1")]),
+    # the zero divisor a - 1 still splits the modulus
+    (a ** 2 - 1, (z1 - z2) * (y1 + z2), (z1 - a * z2) * (y2 * z1 + 1),
+     [("a + 1", "1"), ("a - 1", "z1 - z2")]),
+    (a ** 2 - 1, (z1 ** 2 - z2 ** 2) * (y1 * z1 + 2), (z1 - a * z2) * (y2 + z2 ** 2),
+     [("a^2 - 1", "-z2*a + z1")]),
+], ids=["linear", "linear-shared-y", "sqrt3", "sqrt3-coprime", "split", "reducible-no-split"])
+def test_ext_gcd_multivar_unshared_variables(modulus, p, q, expected):
+    """Operands with y1 in one and y2 in the other, as in the shared-component
+    check of the Fulton recursion; the outputs were recorded before the
+    common-variable reduction was added."""
+    out = with_dynamic_splitting(modulus, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
+    assert [(str(f), str(g)) for f, g in out] == expected
+
+
+def _ext_polys(variables, max_deg=2, max_terms=3):
+    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+    exps = st.fixed_dictionaries({v: st.integers(0, max_deg) for v in variables})
+    return st.lists(st.tuples(exps, coeff), min_size=1, max_size=max_terms).map(
+        lambda terms: sum((SparsePoly.monomial(e, c) for e, c in terms), SparsePoly.zero()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_ext_polys(["z1", "z2", "a"]), _ext_polys(["y1", "z1", "a"]), _ext_polys(["y2", "z2", "a"]),
+       st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(5, 2)]))
+def test_ext_gcd_multivar_linear_modulus_matches_rational_gcd(g, u, v, r):
+    """Under a - r the extension gcd is the rational gcd of the operands at a = r."""
+    p, q = g * u, g * v
+    pr, qr = p.eval_rational({"a": r}), q.eval_rational({"a": r})
+    if pr.is_zero() or qr.is_zero():
+        return
+    h = ext_gcd_multivar(p, q, ExtContext(a - SparsePoly.constant(r)))
+    assert h.degree("a") <= 0
+    assert h.normalized() == gcd_multivar(pr, qr)

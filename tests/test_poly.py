@@ -440,3 +440,47 @@ def test_poly_printer_roundtrip():
         if p.is_zero():
             continue
         assert P(poly_to_str(p), allowed=("x1", "x2")) == p
+
+
+def _naive_eval(p, assignment):
+    """Term-by-term partial evaluation: c * prod(x ** k) for every assigned variable."""
+    out = SparsePoly.zero(p.vars)
+    for exps, c in p.terms.items():
+        rest = {}
+        for v, k in zip(p.vars, exps):
+            if v in assignment:
+                if assignment[v] == 0 and k < 0:
+                    raise PolyError("negative power at zero")
+                c *= F(assignment[v]) ** k
+            elif k:
+                rest[v] = k
+        out = out + SparsePoly.monomial(rest, c, p.vars)
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    _polys_in(["x1", "x2", "y1"], max_deg=3, max_terms=5, min_deg=-2),
+    st.dictionaries(st.sampled_from(["x1", "x2", "y1", "y2"]),
+                    st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-3, 2)]), max_size=3),
+)
+def test_eval_rational_matches_naive_evaluator(p, assignment):
+    """Zero assignments drop terms instead of multiplying by 0 ** k, and a
+    negative power of a variable set to 0 still raises."""
+    try:
+        expected = _naive_eval(p, assignment)
+    except PolyError:
+        with pytest.raises(PolyError):
+            p.eval_rational(assignment)
+        return
+    assert p.eval_rational(assignment) == expected
+
+
+def test_eval_rational_negative_power_at_zero():
+    with pytest.raises(PolyError):
+        (x1 ** 2 + SparsePoly.monomial({"x1": -1})).eval_rational({"x1": 0})
+    # the term x1 * x2^-1 vanishes through x1 but still divides by x2 = 0
+    with pytest.raises(PolyError):
+        SparsePoly.monomial({"x1": 1, "x2": -1}).eval_rational({"x1": 0, "x2": 0})
+    p = x1 ** 2 * x2 + SparsePoly.monomial({"x2": -1, "y1": 1}, 3)
+    assert p.eval_rational({"x1": 0}) == SparsePoly.monomial({"x2": -1, "y1": 1}, 3)
