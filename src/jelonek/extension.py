@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .poly import PolyError, QQ, SparsePoly, exact_div, gcd_multivar, grlex_key
+from .poly import PolyError, QQ, SparsePoly, coeffs_wrt, exact_div, gcd_multivar, grlex_key
 
 
 class ZeroDivisor(Exception):
@@ -186,15 +186,7 @@ def ext_content_wrt(p: SparsePoly, inner_vars, ctx: ExtContext) -> tuple[SparseP
     """
     if p.is_zero():
         raise PolyError("zero polynomial")
-    keep = set(inner_vars) | {ctx.var}
-    outer_idx = [i for i, v in enumerate(p.vars) if v not in keep]
-    groups: dict[tuple[int, ...], dict] = {}
-    for exps, c in p.terms.items():
-        within = list(exps)
-        for i in outer_idx:
-            within[i] = 0
-        groups.setdefault(tuple(exps[i] for i in outer_idx), {})[tuple(within)] = c
-    coeffs = [SparsePoly(m, p.vars) for m in groups.values()]
+    coeffs = coeffs_wrt(p, set(inner_vars) | {ctx.var})
     content = coeffs[0]
     for c in coeffs[1:]:
         content = ext_gcd_multivar(content, c, ctx)
@@ -258,10 +250,12 @@ def ext_divmod_general(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext)
 def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
     """Gcd of multivariate polynomials over Q[a]/(m), monic-normalized.
 
-    An operand with variables the other lacks is first replaced by its
-    content over the common variables, as in :func:`gcd_multivar`; then a
-    primitive pseudo-remainder sequence runs in the last common variable
-    with recursive content extraction.  May raise :class:`ZeroDivisor`.
+    An operand that vanishes on a proper factor of m raises
+    :class:`ZeroDivisor` with that factor.  An operand with variables the
+    other lacks is then replaced by its content over the common variables,
+    as in :func:`gcd_multivar`, and a primitive pseudo-remainder sequence
+    runs in the last common variable with recursive content extraction,
+    which may raise :class:`ZeroDivisor` as well.
     """
     p = ctx.reduce(p)
     q = ctx.reduce(q)
@@ -271,10 +265,11 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
         return _ext_normal(q, ctx)
     if q.is_zero():
         return _ext_normal(p, ctx)
+    # where an operand vanishes the gcd is the other one: split there first
+    _split_where_zero(p, ctx)
+    _split_where_zero(q, ctx)
     pv = p.vars_present() - {ctx.var}
     qv = q.vars_present() - {ctx.var}
-    if not pv or not qv:
-        return SparsePoly.constant(1, p.vars)
     common = pv & qv
     if not common:
         return SparsePoly.constant(1, p.vars)
@@ -311,6 +306,21 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
     if not g.is_constant():
         _, g = ext_content_wrt(g, coeff_vars, ctx)
     return _ext_normal(ctx.reduce(cont * g), ctx)
+
+
+def _split_where_zero(p: SparsePoly, ctx: ExtContext) -> None:
+    """Raise :class:`ZeroDivisor` on the factor of m where p vanishes, if any.
+
+    That factor is the gcd of m with every coefficient of p in Q[a].
+    """
+    g = ctx.minpoly
+    for c in coeffs_wrt(p, [ctx.var]):
+        if c.is_constant():
+            return
+        g = gcd_multivar(g, c)
+        if g.is_constant():
+            return
+    raise ZeroDivisor(g)
 
 
 def ext_pseudo_rem(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:

@@ -411,6 +411,9 @@ class SparsePoly:
     # -- printing ----------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        if any(e < 0 for exps in self.terms for e in exps):
+            # the CLI grammar has no negative exponents
+            return f"SparsePoly({self.terms!r}, {self.vars!r})"
         return f"SparsePoly({self})"
 
     def __str__(self) -> str:
@@ -805,6 +808,17 @@ def content_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> tuple[SparsePoly, S
     """
     if p.is_zero():
         raise PolyError("zero polynomial")
+    content = _content_of_coeffs(coeffs_wrt(p, inner_vars))
+    primitive = exact_div(p, content)
+    return content, primitive
+
+
+def coeffs_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> list[SparsePoly]:
+    """Coefficients of p viewed in the variables outside ``inner_vars``.
+
+    One polynomial in ``inner_vars`` per outer monomial, in order of first
+    appearance among p's terms.
+    """
     inner = set(inner_vars)
     outer_coeffs: dict[tuple[int, ...], dict[tuple[int, ...], Fraction]] = {}
     inner_idx = [i for i, v in enumerate(p.vars) if v in inner]
@@ -815,10 +829,7 @@ def content_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> tuple[SparsePoly, S
             within[i] = exps[i]
             outer[i] = 0
         outer_coeffs.setdefault(tuple(outer), {})[tuple(within)] = c
-    coeffs = [SparsePoly(m, p.vars) for m in outer_coeffs.values()]
-    content = _content_of_coeffs(coeffs)
-    primitive = exact_div(p, content)
-    return content, primitive
+    return [SparsePoly(m, p.vars) for m in outer_coeffs.values()]
 
 
 def _dense_int(p: SparsePoly, var: str) -> list[int]:

@@ -15,6 +15,7 @@ from jelonek.extension import (
     gcd_mod_minpoly,
     with_dynamic_splitting,
 )
+from strategies import polys_in
 
 a = SparsePoly.variable("a")
 y1 = SparsePoly.variable("y1")
@@ -128,7 +129,6 @@ def test_ext_gcd_multivar_bivariate():
     assert ctx.reduce(g - _ext_normal(common, ctx)).is_zero()
 
 
-
 @pytest.mark.parametrize("modulus, p, q, expected", [
     (a - 2, (z1 - a * z2) * (y1 + z2), (z1 - a * z2) * (y2 * z1 + 1),
      [("a - 2", "z1 - 2*z2")]),
@@ -143,31 +143,47 @@ def test_ext_gcd_multivar_bivariate():
      [("a + 1", "1"), ("a - 1", "z1 - z2")]),
     (a ** 2 - 1, (z1 ** 2 - z2 ** 2) * (y1 * z1 + 2), (z1 - a * z2) * (y2 + z2 ** 2),
      [("a^2 - 1", "-z2*a + z1")]),
-], ids=["linear", "linear-shared-y", "sqrt3", "sqrt3-coprime", "split", "reducible-no-split"])
+    # the content of p over z1 is gcd(a - 1, z1): a - 1 vanishes on a factor
+    (a ** 2 - 1, (a - 1) * y1 + z1, z1,
+     [("a + 1", "1"), ("a - 1", "z1")]),
+    # the coefficients (a - 1)*z1 and z2 of p share no variable
+    (a ** 2 - 1, (a - 1) * z1 * y1 + z2, z2 * (z1 + 1),
+     [("a + 1", "1"), ("a - 1", "z2")]),
+    # p is zero on the factor a, where the gcd is q
+    (a ** 2 - a, a * z1 * (z1 - a), z1 * (y2 + 1),
+     [("a", "z1*y2 + z1"), ("a - 1", "z1")]),
+], ids=["linear", "linear-shared-y", "sqrt3", "sqrt3-coprime", "split", "reducible-no-split",
+        "split-in-content", "split-disjoint-coefficients", "operand-vanishes-on-a-factor"])
 def test_ext_gcd_multivar_unshared_variables(modulus, p, q, expected):
-    """Operands with y1 in one and y2 in the other, as in the shared-component
-    check of the Fulton recursion; the outputs were recorded before the
-    common-variable reduction was added."""
+    """Operands with variables only one of them has, as in the shared-component
+    check of the Fulton recursion.  The outputs were recorded before the
+    common-variable reduction was added, except the last, which used to
+    come out as z1 with no split."""
     out = with_dynamic_splitting(modulus, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
     assert [(str(f), str(g)) for f, g in out] == expected
 
 
-def _ext_polys(variables, max_deg=2, max_terms=3):
-    coeff = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
-    exps = st.fixed_dictionaries({v: st.integers(0, max_deg) for v in variables})
-    return st.lists(st.tuples(exps, coeff), min_size=1, max_size=max_terms).map(
-        lambda terms: sum((SparsePoly.monomial(e, c) for e, c in terms), SparsePoly.zero()))
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_ext_polys(["z1", "z2", "a"]), _ext_polys(["y1", "z1", "a"]), _ext_polys(["y2", "z2", "a"]),
-       st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(5, 2)]))
-def test_ext_gcd_multivar_linear_modulus_matches_rational_gcd(g, u, v, r):
-    """Under a - r the extension gcd is the rational gcd of the operands at a = r."""
+@given(st.one_of(st.just(SparsePoly.constant(1)), polys_in(["z1", "z2", "a"])),
+       st.one_of(st.just(SparsePoly.zero()), polys_in(["z1"]), polys_in(["y1", "z1"])),
+       polys_in(["y1", "z1", "a"]), polys_in(["y2", "z2", "a"]),
+       st.lists(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(5, 2)]),
+                min_size=1, max_size=2, unique=True))
+def test_ext_gcd_multivar_matches_rational_gcd_at_each_root(g, u0, u1, v, roots):
+    """Under m = prod(a - r) the gcd on each branch, at each root r of the
+    branch, is the rational gcd of the operands at a = r.  At the first root
+    the cofactor u of p is u0, which may be zero or lack y1."""
+    u = u0 + (a - SparsePoly.constant(roots[0])) * u1
     p, q = g * u, g * v
-    pr, qr = p.eval_rational({"a": r}), q.eval_rational({"a": r})
-    if pr.is_zero() or qr.is_zero():
+    at = {r: (p.eval_rational({"a": r}), q.eval_rational({"a": r})) for r in roots}
+    if p.is_zero() or any(pr.is_zero() and qr.is_zero() for pr, qr in at.values()):
         return
-    h = ext_gcd_multivar(p, q, ExtContext(a - SparsePoly.constant(r)))
-    assert h.degree("a") <= 0
-    assert h.normalized() == gcd_multivar(pr, qr)
+    modulus = SparsePoly.constant(1)
+    for r in roots:
+        modulus = modulus * (a - SparsePoly.constant(r))
+    out = with_dynamic_splitting(modulus, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
+    assert sorted(r for f, _ in out for r in roots if f.eval_rational({"a": r}).is_zero()) == sorted(roots)
+    for f, h in out:
+        for r in roots:
+            if f.eval_rational({"a": r}).is_zero():
+                assert h.eval_rational({"a": r}).normalized() == gcd_multivar(*at[r])
