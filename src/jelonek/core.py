@@ -590,10 +590,10 @@ def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
             continue
         for s in SHEAR_CANDIDATES:
             try:
-                R, Rsf = sheared_resultant(_shear(F1, s), _shear(F2, s))
+                R, factors = sheared_resultant(_shear(F1, s), _shear(F2, s))
             except ShearError:
                 continue
-            if R.is_constant() or Rsf.degree("x1") != R.degree("x1"):
+            if R.is_constant() or any(mult > 1 for _, mult in factors):
                 continue  # generic fibers are nonempty and simple; resample
             return R.degree("x1")
     raise PolyError("could not certify a generic fiber")

@@ -223,6 +223,12 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
     through the origin), and ``conditions`` lists every y-dependent
     coefficient whose vanishing would raise it.  Without y1, y2 the result
     is the numeric multiplicity and ``conditions`` is empty.
+
+    A shared component through the origin is ruled out over Q without a gcd
+    when Res_v(F, G) is nonzero and u does not divide both: a nonzero
+    resultant leaves only v-free common factors, and a v-free factor that
+    vanishes at the origin for every y is divisible by u.  Only when this
+    certificate fails, and always over an extension, is gcd(F, G) taken.
     """
     u, v = zvars
 
@@ -236,9 +242,10 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
     if origin_value(F).is_zero() and origin_value(G).is_zero():
         if F.is_zero() or G.is_zero():
             return FULTON_INFINITY, []
-        h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
-        if not h.is_constant() and origin_value(h).is_zero():
-            return FULTON_INFINITY, []
+        if ctx is not None or not _resultant_certifies_coprime(F, G, u, v):
+            h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
+            if not h.is_constant() and origin_value(h).is_zero():
+                return FULTON_INFINITY, []
     conditions: list[SparsePoly] = []
     mult = 0
     for _ in range(5000):
@@ -274,6 +281,16 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
             return FULTON_INFINITY, conditions
         F, G = _strip_parameter_content(G, zvars, ctx), F
     raise PolyError("multiplicity recursion failed to terminate")
+
+
+def _resultant_certifies_coprime(F: SparsePoly, G: SparsePoly, u: str, v: str) -> bool:
+    """True when Res_v(F, G) != 0 and u does not divide both F and G."""
+    if F.min_degree(u) > 0 and G.min_degree(u) > 0:
+        return False
+    try:
+        return not resultant(F, G, v).is_zero()
+    except PolyError:  # both v-free: no resultant to certify with
+        return False
 
 
 def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: ExtContext | None = None):

@@ -7,13 +7,17 @@ midpoints; along it every interval carries an integer multiple of the
 polynomial mapped onto (0, 1), so the tests run on ``int`` coefficients
 (Collins-Akritas; Rouillier-Zimmermann) and only the interval endpoints
 are ``Fraction``s.  Numbers are carried in isolating-interval representation:
-a squarefree integer minimal polynomial plus a rational interval containing
-exactly one of its roots.
+a squarefree primitive ``int`` polynomial plus a rational interval containing
+exactly one of its roots; its sign at a rational u/v is the sign of the
+integer sum c_i u^i v^(n-i), so refinement and comparison never evaluate in
+``Fraction`` arithmetic.
 
 Real-solution counting for zero-dimensional bivariate systems works in a
 sheared coordinate generic enough that every fiber over a resultant root
 carries exactly one solution; the shear is certified through the first
-subresultant, never assumed (:func:`sheared_resultant`).
+subresultant, never assumed (:func:`sheared_resultant`).  The counts are
+the numbers of Descartes isolating intervals of the resultant's squarefree
+factors, weighted by multiplicity; no root is built as a number.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .poly import (
     gcd_multivar,
     resultant_and_penultimate,
     squarefree_decomposition,
-    squarefree_part,
 )
 
 
@@ -79,25 +82,23 @@ def dense_trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def dense_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = QQ(0)
+def _primitive_int(p: Sequence[Fraction]) -> list[int]:
+    """The positive rational multiple of p with coprime integer coefficients;
+    it has the sign of p at every point."""
+    den = lcm(*(c.denominator for c in p))
+    out = [c.numerator * (den // c.denominator) for c in p]
+    num = gcd(*out)
+    return [c // num for c in out] if num else out
+
+
+def _sign_at(p: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x) for integer p, by Horner on sum p_i u^i v^(n-i), x = u/v."""
+    u, v = x.numerator, x.denominator
+    acc, vpow = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def dense_primitive(p: Sequence[Fraction]) -> list[Fraction]:
-    num, den = 0, 1
-    for c in p:
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    if num == 0:
-        return list(p)
-    scale = QQ(den, num)
-    out = [c * scale for c in p]
-    if out[-1] < 0:
-        out = [-c for c in out]
-    return out
+        acc = acc * u + c * vpow
+        vpow *= v
+    return (acc > 0) - (acc < 0)
 
 
 def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
@@ -179,15 +180,16 @@ class RealAlgebraic:
     __slots__ = ("dense", "lo", "hi")
 
     def __init__(self, dense: Sequence[Fraction], lo: Fraction, hi: Fraction):
-        self.dense = tuple(dense_primitive(dense_trim(list(dense))))
+        dense = _primitive_int(dense_trim(list(dense)))
+        self.dense = tuple(-c for c in dense) if dense and dense[-1] < 0 else tuple(dense)
         self.lo = QQ(lo)
         self.hi = QQ(hi)
         if self.lo > self.hi:
             raise PolyError("empty interval")
         if self.lo != self.hi:
-            flo = dense_eval(self.dense, self.lo)
-            fhi = dense_eval(self.dense, self.hi)
-            if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+            slo = _sign_at(self.dense, self.lo)
+            shi = _sign_at(self.dense, self.hi)
+            if slo == 0 or shi == 0 or slo == shi:
                 raise PolyError("interval does not isolate a root by sign change")
 
     @classmethod
@@ -206,7 +208,7 @@ class RealAlgebraic:
         if self.lo == self.hi:
             return self.lo
         if self.degree == 1:
-            return -self.dense[0] / self.dense[1]
+            return QQ(-self.dense[0], self.dense[1])
         raise PolyError("not a rational number")
 
     def width(self) -> Fraction:
@@ -220,16 +222,16 @@ class RealAlgebraic:
         if self.lo == self.hi:
             return self
         lo, hi = self.lo, self.hi
-        flo = dense_eval(self.dense, lo)
+        slo = _sign_at(self.dense, lo)
         while hi - lo >= eps:
             m = (lo + hi) / 2
-            fm = dense_eval(self.dense, m)
-            if fm == 0:
+            sm = _sign_at(self.dense, m)
+            if sm == 0:
                 return RealAlgebraic(self.dense, m, m)
-            if (flo > 0) != (fm > 0):
+            if sm != slo:
                 hi = m
             else:
-                lo, flo = m, fm
+                lo = m
         return RealAlgebraic(self.dense, lo, hi)
 
     def minpoly_sparse(self, var: str, variables=None) -> SparsePoly:
@@ -247,7 +249,7 @@ class RealAlgebraic:
         r = QQ(r)
         if self.lo == self.hi:
             return (self.lo > r) - (self.lo < r)
-        if dense_eval(self.dense, r) == 0 and self.lo <= r <= self.hi:
+        if _sign_at(self.dense, r) == 0 and self.lo <= r <= self.hi:
             return 0
         a = self
         while a.lo <= r <= a.hi:
@@ -293,15 +295,14 @@ def sign_at_dense(dense: Sequence[Fraction], alpha: RealAlgebraic) -> int:
     if not dense:
         return 0
     if alpha.is_rational():
-        v = dense_eval(dense, alpha.as_fraction())
-        return (v > 0) - (v < 0)
-    g = to_dense(gcd_multivar(from_dense(dense, "x1"), alpha.minpoly_sparse("x1")), "x1")
+        return _sign_at(_primitive_int(dense), alpha.as_fraction())
+    g = _primitive_int(to_dense(gcd_multivar(from_dense(dense, "x1"), alpha.minpoly_sparse("x1")), "x1"))
     if len(g) > 1:
-        glo = dense_eval(g, alpha.lo)
-        ghi = dense_eval(g, alpha.hi)
+        glo = _sign_at(g, alpha.lo)
+        ghi = _sign_at(g, alpha.hi)
         if glo == 0 or ghi == 0:
             raise PolyError("isolating interval has root endpoint")
-        if (glo > 0) != (ghi > 0):
+        if glo != ghi:
             return 0
     a = alpha
     while True:
@@ -318,7 +319,7 @@ def compare(a: RealAlgebraic, b: RealAlgebraic) -> int:
         return -b.cmp_fraction(a.as_fraction())
     if b.is_rational():
         return a.cmp_fraction(b.as_fraction())
-    g = to_dense(gcd_multivar(a.minpoly_sparse("x1"), b.minpoly_sparse("x1")), "x1")
+    g = _primitive_int(to_dense(gcd_multivar(a.minpoly_sparse("x1"), b.minpoly_sparse("x1")), "x1"))
     x, y = a, b
     while not (x.hi < y.lo or y.hi < x.lo):
         if len(g) > 1:
@@ -332,10 +333,9 @@ def compare(a: RealAlgebraic, b: RealAlgebraic) -> int:
 
 
 def _root_in(g: Sequence[Fraction], lo: Fraction, hi: Fraction) -> bool:
-    glo, ghi = dense_eval(g, lo), dense_eval(g, hi)
-    if glo == 0 or ghi == 0:
-        return True
-    return (glo > 0) != (ghi > 0)
+    g = _primitive_int(g)
+    glo, ghi = _sign_at(g, lo), _sign_at(g, hi)
+    return glo == 0 or ghi == 0 or glo != ghi
 
 
 def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
@@ -404,10 +404,6 @@ def _make_disjoint(roots: list[RealAlgebraic]) -> None:
                 changed = True
 
 
-def refine(alpha: RealAlgebraic, eps: Fraction) -> RealAlgebraic:
-    return alpha.refined(QQ(eps))
-
-
 def root_bound(p: SparsePoly, var: str | None = None) -> Fraction:
     """Cauchy bound on the magnitude of every complex root."""
     present = p.vars_present()
@@ -436,7 +432,7 @@ def rational_roots(p: SparsePoly, var: str | None = None) -> list[Fraction]:
 def _extract_rational(alpha: RealAlgebraic) -> Fraction | None:
     if alpha.is_rational():
         return alpha.as_fraction()
-    lead = abs(alpha.dense[-1].numerator)
+    lead = abs(alpha.dense[-1])
     if lead > 10 ** 12:
         # divisor enumeration would be too costly; keep the algebraic form
         return None
@@ -445,7 +441,7 @@ def _extract_rational(alpha: RealAlgebraic) -> Fraction | None:
     for q in divisors:
         num = round(a.mid() * q)
         cand = QQ(num, q)
-        if a.lo <= cand <= a.hi and dense_eval(alpha.dense, cand) == 0:
+        if a.lo <= cand <= a.hi and _sign_at(alpha.dense, cand) == 0:
             return cand
     return None
 
@@ -521,15 +517,16 @@ def _shear(p: SparsePoly, s: int) -> SparsePoly:
 def count_real_solutions(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
     """(distinct, with multiplicity) real solutions of f1 = f2 = 0 in R^2.
 
-    The system must be zero-dimensional (no shared curve); verified via the
-    gcd of the two polynomials.
+    The system must be zero-dimensional; a shared curve raises
+    :class:`PolyError` without a gcd.  Under a shear that keeps the shared
+    factor's x2-degree positive the resultant vanishes; a shear that makes
+    it x2-free makes the leading coefficients nonconstant, so the shear is
+    rejected and the next one is tried.
     """
     if f1.is_zero() or f2.is_zero():
         raise PolyError("not zero-dimensional")
     if f1.is_constant() or f2.is_constant():
         return 0, 0
-    if not gcd_multivar(f1, f2).is_constant():
-        raise PolyError("not zero-dimensional")
     last_error = None
     for s in SHEAR_CANDIDATES:
         try:
@@ -549,39 +546,45 @@ def _check_x2_leading(F1: SparsePoly, F2: SparsePoly) -> None:
             raise ShearError("leading coefficient not constant after shear")
 
 
-def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
-    """(R, Rsf): R = Res_x2(F1, F2) and its squarefree part, shear certified.
+def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
+    """(R, factors): R = Res_x2(F1, F2) and its squarefree decomposition in
+    x1, shear certified.
 
     Certifies that every root of R carries exactly one solution of
     F1 = F2 = 0: both leading coefficients in x2 are constant, the
     penultimate subresultant has degree 1 in x2, and its coefficient c1 has
-    no common root with Rsf.  Raises :class:`ShearError` otherwise.  A
-    constant R (no solutions) is returned with Rsf = 1.
+    no common root with the squarefree part (the product of the factors).
+    Raises :class:`ShearError` otherwise, and :class:`PolyError` when R
+    vanishes.  A constant R (no solutions) comes with no factors.
     """
     _check_x2_leading(F1, F2)
     R, penult = resultant_and_penultimate(F1, F2, "x2")
     if R.is_zero():
         raise PolyError("not zero-dimensional")
     if R.is_constant():
-        return R, SparsePoly.constant(1, R.vars)
+        return R, []
     if penult.degree("x2") != 1:
         raise ShearError("defective remainder sequence")
     c1 = penult.coeff_of("x2", 1)
-    Rsf = squarefree_part(R, "x1")
-    if not c1.is_constant() and gcd_multivar(Rsf, c1).degree("x1") > 0:
-        raise ShearError("fiber degeneracy at a resultant root")
-    return R, Rsf
+    factors = squarefree_decomposition(R, "x1")
+    if not c1.is_constant():
+        Rsf = SparsePoly.constant(1, R.vars)
+        for f, _ in factors:
+            Rsf = Rsf * f
+        if gcd_multivar(Rsf, c1).degree("x1") > 0:
+            raise ShearError("fiber degeneracy at a resultant root")
+    return R, factors
 
 
 def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
-    R, _ = sheared_resultant(F1, F2)
-    if R.is_constant():
-        return 0, 0
+    """Every real root of R is one real solution: count isolating intervals."""
+    _, factors = sheared_resultant(F1, F2)
     distinct = 0
     with_mult = 0
-    for root, mult in isolate_real_roots(R, "x1"):
-        distinct += 1
-        with_mult += mult
+    for f, mult in factors:
+        n = len(isolate_squarefree_dense(to_dense(f, "x1")))
+        distinct += n
+        with_mult += n * mult
     return distinct, with_mult
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from jelonek.poly import PolyError, SparsePoly, resultant
-from jelonek.realroots import rational_roots
+from jelonek.poly import PolyError, SparsePoly, gcd_multivar, resultant, resultant_and_penultimate, squarefree_part
+from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
 
 ESCAPE_NORM = 1e6
 
@@ -45,6 +45,36 @@ def grlex_exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     return SparsePoly(quot, p.vars)
 
 
+def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
+    """Reference real-solution count: a gcd pre-check for a shared curve,
+    then a certified shear whose resultant roots are isolated as real
+    algebraic numbers (rational roots extracted, intervals made disjoint)
+    and tallied with their multiplicities."""
+    if f1.is_zero() or f2.is_zero():
+        raise PolyError("not zero-dimensional")
+    if f1.is_constant() or f2.is_constant():
+        return 0, 0
+    if not gcd_multivar(f1, f2).is_constant():
+        raise PolyError("not zero-dimensional")
+    for s in SHEAR_CANDIDATES:
+        F1, F2 = _shear(f1, s), _shear(f2, s)
+        if any(F.degree("x2") <= 0 or not F.coeff_of("x2", F.degree("x2")).is_constant() for F in (F1, F2)):
+            continue
+        R, penult = resultant_and_penultimate(F1, F2, "x2")
+        if R.is_zero():
+            raise PolyError("not zero-dimensional")
+        if R.is_constant():
+            return 0, 0
+        if penult.degree("x2") != 1:
+            continue
+        c1 = penult.coeff_of("x2", 1)
+        if not c1.is_constant() and gcd_multivar(squarefree_part(R, "x1"), c1).degree("x1") > 0:
+            continue
+        roots = isolate_real_roots(R, "x1")
+        return len(roots), sum(m for _, m in roots)
+    raise PolyError("no generic shear found")
+
+
 def _specialize_exact(sym: SparsePoly, y: tuple[F, F], var: str) -> list[F]:
     spec = sym.eval_rational({"y1": y[0], "y2": y[1]})
     if spec.is_zero():
@@ -54,7 +84,6 @@ def _specialize_exact(sym: SparsePoly, y: tuple[F, F], var: str) -> list[F]:
 
 def _exact_squarefree(coeffs: list[F]) -> list[F]:
     from jelonek.realroots import from_dense, to_dense
-    from jelonek.poly import squarefree_part
 
     p = from_dense(coeffs, "x1")
     if p.degree("x1") < 1:

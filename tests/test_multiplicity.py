@@ -27,7 +27,9 @@ from jelonek.multiplicity import (
     norm_form,
     _at_rho,
     _find_rational_point_on,
+    _fulton,
     _multiplicity_at_rho,
+    _resultant_certifies_coprime,
     _shift_to_rho,
 )
 from jelonek.realroots import isolate_real_roots, rational_roots, sign_at
@@ -144,6 +146,31 @@ def test_fulton_condition_polynomials_trailing_coefficient():
     assert fulton_multiplicity(z2, G.eval_rational({"y1": 1})) == 2
     with pytest.raises(PolyError):
         fulton_condition_polynomials(z2 * (z1 - y1 * z2), z2 * G)
+
+
+# (F, G, resultant certificate holds, _fulton result): a shared factor of
+# positive z2-degree makes Res_z2 vanish; the shared factor z1 divides both;
+# either way the gcd decides.  A shared z2-free factor off the origin leaves
+# the resultant nonzero, so the gcd is skipped and the multiplicity is finite.
+FULTON_ROUTES = {
+    "through-origin": ((z1 - z2) * (z1 + 2), (z1 - z2) * (z2 + 3), False, (FULTON_INFINITY, [])),
+    "factor-u": (z1 * (z2 + 1), z1 * (z2 - z1 + 2), False, (FULTON_INFINITY, [])),
+    "off-origin": ((z1 + 1) * z2, (z1 + 1) * (z2 - z1 ** 2), True, (2, [])),
+    "off-origin-in-v": ((z2 + 1) * z1, (z2 + 1) * (z1 - z2 ** 2), False, (2, [])),
+    "through-origin-y": ((z1 - z2) * (z1 + y1), (z1 - z2) * (z2 + y2), False, (FULTON_INFINITY, [])),
+    "factor-u-y": (z1 * (z2 + y1), z1 * (z2 - y2 * z1 + 2), False, (FULTON_INFINITY, [])),
+    "off-origin-y": ((z1 + 1) * z2, (z1 + 1) * (z2 - y1 * z1), True, (1, [-y1])),
+    # z1 + y1 vanishes at the origin only on y1 = 0, not for every y
+    "off-origin-generic-y": ((z1 + y1) * z2, (z1 + y1) * (z2 - z1 ** 2), True, (2, [-y1, y1])),
+}
+
+
+@pytest.mark.parametrize("name", FULTON_ROUTES)
+def test_fulton_shared_component_routes(name):
+    Fp, Gp, certified, expected = FULTON_ROUTES[name]
+    assert _resultant_certifies_coprime(Fp, Gp, "z1", "z2") == certified
+    assert _fulton(Fp, Gp, ("z1", "z2"), None) == expected
+    assert _fulton(Gp, Fp, ("z1", "z2"), None)[0] == expected[0]
 
 
 def test_ms_fulton_intro():

@@ -5,7 +5,11 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import count_real_solutions_by_isolation
+from strategies import polys_in
 from jelonek.poly import PolyError, SparsePoly, resultant
 from jelonek.realroots import (
     RealAlgebraic,
@@ -17,11 +21,13 @@ from jelonek.realroots import (
     isolate_squarefree_dense,
     rational_between,
     rational_roots,
-    refine,
     root_bound,
     sheared_resultant,
     sign_at,
     to_dense,
+    _primitive_int,
+    _shear,
+    _sign_at,
 )
 
 x1 = SparsePoly.variable("x1")
@@ -145,13 +151,13 @@ def test_parity_invariant():
 
 def test_refine():
     r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() > 0][0]
-    fine = refine(r2, F(1, 10 ** 6))
+    fine = r2.refined(F(1, 10 ** 6))
     assert fine.width() < F(1, 10 ** 6)
     assert compare(fine, r2) == 0
-    again = refine(fine, F(1, 10 ** 6))
+    again = fine.refined(F(1, 10 ** 6))
     assert compare(again, fine) == 0
     rat = RealAlgebraic.from_rational(F(3, 7))
-    assert refine(rat, F(1, 100)).as_fraction() == F(3, 7)
+    assert rat.refined(F(1, 100)).as_fraction() == F(3, 7)
 
 
 def test_sign_at():
@@ -196,6 +202,57 @@ def test_count_real_solutions_basic():
 def test_count_real_solutions_not_zero_dim():
     with pytest.raises(PolyError):
         count_real_solutions(x1 * x2 - 1, (x1 * x2 - 1) * (x1 + x2))
+
+
+@pytest.mark.parametrize("f1, f2", [
+    # x1 - x2 is x2-free under the first shear (s = 1): that shear is
+    # rejected for its nonconstant leading coefficient, the next one has a
+    # vanishing resultant
+    ((x1 - x2) * (x2 ** 2 + 1), (x1 - x2) * (x2 + x1 ** 2)),
+    ((x1 - x2) * (x1 + 2), (x1 - x2) * (x2 - 3)),
+    (x1 * (x2 - 1), x1 * (x1 + x2)),
+], ids=["shear-one-x2-free", "shear-one-x2-free-linear", "x2-free"])
+def test_count_real_solutions_shared_component(f1, f2):
+    with pytest.raises(PolyError):
+        count_real_solutions(f1, f2)
+
+
+def test_shared_factor_x2_free_under_first_shear():
+    assert _shear(x1 - x2, 1).degree("x2") == 0
+
+
+# the shared factor h: none (twice as likely), or a curve; x2^2 and x1^2 - 1
+# keep most systems with h = 1 zero-dimensional
+_shared = st.sampled_from([SparsePoly.constant(1), SparsePoly.constant(1), x1 - x2, x1 + 2 * x2 - 1, x2 ** 2 - x1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(polys_in(("x1", "x2"), max_deg=2, max_terms=4), polys_in(("x1", "x2"), max_deg=2, max_terms=4), _shared)
+@example(-x1, x2 - 1, SparsePoly.constant(1))
+@example(x1 - 1, x2 - x1 ** 2, x1 - x2)
+def test_count_matches_isolation_oracle(a, b, h):
+    """The interval count without a gcd pre-check agrees with the
+    isolate-based count that checks the gcd first, errors included."""
+    f1, f2 = (a + x2 ** 2) * h, (b + x1 ** 2 - 1) * h
+    try:
+        expected = count_real_solutions_by_isolation(f1, f2)
+    except PolyError:
+        with pytest.raises(PolyError):
+            count_real_solutions(f1, f2)
+        return
+    assert count_real_solutions(f1, f2) == expected
+
+
+_rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_rationals, min_size=1, max_size=7), _rationals)
+@example([F(-2), F(0), F(1)], F(0))
+@example([F(1, 3), F(-1)], F(1, 3))
+def test_integer_sign_matches_fraction_evaluation(p, x):
+    value = sum((c * x ** i for i, c in enumerate(p)), F(0))
+    assert _sign_at(_primitive_int(p), x) == (value > 0) - (value < 0)
 
 
 def test_count_matches_numeric_oracle():
@@ -278,10 +335,10 @@ def test_sheared_resultant_certified():
     # nonzero at every root of R
     f1 = x2 ** 2 + x1 * x2 - 1
     f2 = x2 ** 2 - x1
-    R, Rsf = sheared_resultant(f1, f2)
+    R, factors = sheared_resultant(f1, f2)
     assert R == resultant(f1, f2, "x2")
     assert R.degree("x1") == 3
-    assert Rsf == R.normalized()
+    assert factors == [(R.normalized(), 1)]
 
 
 @pytest.mark.parametrize("f1, f2", [
