@@ -37,7 +37,6 @@ from .poly import (
     gcd_multivar,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
     squarefree_part_multivar,
 )
 from .polytope import (
@@ -293,7 +292,7 @@ def _line_family(P: SparsePoly, Q: SparsePoly, target_var: str, fld: str,
             raise PolyError("implicit line family collapsed")
         if R.degree(target_var) < 1:
             return out
-        defining = squarefree_part(R, target_var)
+        defining = squarefree_part_multivar(R)
         out.append(Component(kind=classify_defining(defining), defining=defining,
                              provenance=[prov], realness="not-applicable"))
         return out
@@ -372,7 +371,7 @@ def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
                 out.extend(ms_fulton(sys, root))
         return out
     # complex: dynamic splitting over the full squarefree part
-    gsf = squarefree_part(sys.g, "z1")
+    gsf = squarefree_part_multivar(sys.g)
     if gsf.degree("z1") < 1:
         return []
     mp = _rename_z1_to_a(gsf)

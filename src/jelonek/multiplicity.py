@@ -31,7 +31,6 @@ from .poly import (
     gcd_multivar,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
     squarefree_part_multivar,
 )
 from .realroots import (
@@ -143,7 +142,7 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
     R12, J2 = sys.R12, sys.J2
     if J2.is_zero():
         raise PolyError("residual factor vanishes at z2 = 0")
-    gsf = squarefree_part(sys.g, "z1")
+    gsf = squarefree_part_multivar(sys.g)
     if fld == "C":
         H = resultant(R12, gsf, "z1") if R12.degree("z1") >= 0 else R12
         if H.is_zero():

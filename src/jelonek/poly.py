@@ -11,13 +11,13 @@ The canonical term order is graded lexicographic with respect to the
 universe order, so structural equality of dictionaries is equality of
 polynomials.
 
-The public API is ``Fraction``-based throughout.  Eliminations and exact
-division run inside on integer coefficients with packed monomials:
-``resultant`` and ``resultant_and_penultimate`` clear denominators and
-monomial factors on entry, run one subresultant engine on ``int``
-coefficients keyed by packed integer monomials, and convert back to an
-equal ``SparsePoly`` on exit; ``exact_div`` packs both operands the same
-way and runs the engine's heap division.
+The public API is ``Fraction``-based throughout.  Eliminations, squarefree
+parts and exact division run inside on integer coefficients with packed
+monomials: ``resultant`` and ``resultant_and_penultimate`` clear
+denominators and monomial factors on entry, run one subresultant engine on
+``int`` coefficients keyed by packed integer monomials, and convert back;
+``squarefree_part_multivar`` divides by that engine's last subresultant
+and ``exact_div`` packs both operands the same way for its heap division.
 """
 
 from __future__ import annotations
@@ -994,29 +994,30 @@ def squarefree_decomposition(p: SparsePoly, var: str | None = None) -> list[tupl
     return out
 
 
-def squarefree_part(p: SparsePoly, var: str | None = None) -> SparsePoly:
-    """Product of the distinct irreducible factors of a univariate polynomial."""
-    factors = squarefree_decomposition(p, var)
-    if not factors:
-        raise PolyError("constant polynomial has no squarefree part")
-    acc = SparsePoly.constant(1, p.vars)
-    for f, _ in factors:
-        acc = acc * f
-    return acc.normalized()
-
-
 def squarefree_part_multivar(p: SparsePoly) -> SparsePoly:
-    """Squarefree part: p divided by the gcd of p and all its first partials."""
+    """Product of the distinct irreducible factors of p, normalized.
+
+    p must be a polynomial in the variables it contains.  With v the last of
+    them and W the others, p = cont * prim, cont in Q[W], prim primitive in
+    v.  In characteristic 0 gcd(prim, d prim/dv) is prim's repeated part: a
+    nonzero Res_v(prim, d prim/dv) certifies prim squarefree, else the last
+    nonzero subresultant of that engine pass is a Q[W]-multiple of the gcd,
+    and its primitive part is divided out.  cont, coprime to prim, recurses.
+    """
     if p.is_zero():
         raise PolyError("zero polynomial")
-    g = p
-    for v in sorted(p.vars_present()):
-        d = p.derivative(v)
-        if d.is_zero():
-            continue
-        g = gcd_multivar(g, d)
-        if g.is_constant():
-            break
-    if g.is_constant():
+    present = p.vars_present()
+    active = [u for u in p.vars if u in present]
+    if not active:
         return p.normalized()
-    return exact_div(p, g).normalized()
+    if any(min(exps) < 0 for exps in p.terms):
+        raise PolyError("negative exponents")
+    v, inner = active[-1], active[:-1]
+    cont, prim = content_wrt(p, inner)
+    if prim.degree(v) >= 2:
+        res, sub = resultant_and_penultimate(prim, prim.derivative(v), v)
+        if res.is_zero():
+            prim = exact_div(prim, content_wrt(sub, inner)[1])
+    if cont.is_constant():
+        return prim.normalized()
+    return (squarefree_part_multivar(cont) * prim).normalized()

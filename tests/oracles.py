@@ -13,7 +13,15 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
-from jelonek.poly import PolyError, SparsePoly, gcd_multivar, resultant, resultant_and_penultimate, squarefree_part
+from jelonek.poly import (
+    PolyError,
+    SparsePoly,
+    exact_div,
+    gcd_multivar,
+    resultant,
+    resultant_and_penultimate,
+    squarefree_decomposition,
+)
 from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
 
 ESCAPE_NORM = 1e6
@@ -45,6 +53,32 @@ def grlex_exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     return SparsePoly(quot, p.vars)
 
 
+def squarefree_part_by_partials(p: SparsePoly) -> SparsePoly:
+    """Reference squarefree part: p divided by its gcd with every first
+    partial derivative, normalized."""
+    if p.is_zero():
+        raise PolyError("zero polynomial")
+    g = p
+    for v in sorted(p.vars_present()):
+        d = p.derivative(v)
+        if d.is_zero():
+            continue
+        g = gcd_multivar(g, d)
+        if g.is_constant():
+            break
+    if g.is_constant():
+        return p.normalized()
+    return exact_div(p, g).normalized()
+
+
+def _yun_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:
+    """Product of the Yun factors of a univariate polynomial, normalized."""
+    acc = SparsePoly.constant(1, p.vars)
+    for f, _ in squarefree_decomposition(p, var):
+        acc = acc * f
+    return acc.normalized()
+
+
 def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
     """Reference real-solution count: a gcd pre-check for a shared curve,
     then a certified shear whose resultant roots are isolated as real
@@ -68,7 +102,7 @@ def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[i
         if penult.degree("x2") != 1:
             continue
         c1 = penult.coeff_of("x2", 1)
-        if not c1.is_constant() and gcd_multivar(squarefree_part(R, "x1"), c1).degree("x1") > 0:
+        if not c1.is_constant() and gcd_multivar(_yun_squarefree_part(R, "x1"), c1).degree("x1") > 0:
             continue
         roots = isolate_real_roots(R, "x1")
         return len(roots), sum(m for _, m in roots)
@@ -88,7 +122,7 @@ def _exact_squarefree(coeffs: list[F]) -> list[F]:
     p = from_dense(coeffs, "x1")
     if p.degree("x1") < 1:
         return coeffs
-    return to_dense(squarefree_part(p, "x1"), "x1")
+    return to_dense(_yun_squarefree_part(p, "x1"), "x1")
 
 
 def _mp_real_roots(coeffs: list[F], dps: int = 60):

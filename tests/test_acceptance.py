@@ -214,10 +214,8 @@ def test_criterion_4_multiplicity_accumulation():
                 fiber = gcd_multivar(f1.eval_rational({"x1": rv}), f2.eval_rational({"x1": rv}))
                 if fiber.degree("x2") < 1:
                     continue
-                from jelonek.poly import squarefree_part
-
                 roots2 = rational_roots(fiber, "x2")
-                if len(roots2) != squarefree_part(fiber, "x2").degree("x2"):
+                if len(roots2) != squarefree_part_multivar(fiber).degree("x2"):
                     continue
                 total = 0
                 for b2 in roots2:

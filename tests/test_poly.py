@@ -18,10 +18,10 @@ from jelonek.poly import (
     pseudo_division,
     resultant,
     squarefree_decomposition,
-    squarefree_part,
+    squarefree_part_multivar,
 )
 from jelonek.parsing import parse_polynomial as P
-from oracles import grlex_exact_div
+from oracles import grlex_exact_div, squarefree_part_by_partials
 from strategies import polys_in
 
 
@@ -318,10 +318,10 @@ def test_gcd_with_unshared_variables_property(g, a, b):
 
 def test_squarefree():
     p = (x1 - 1) ** 2 * (x1 + 2)
-    assert squarefree_part(p) == ((x1 - 1) * (x1 + 2)).normalized()
+    assert squarefree_part_multivar(p) == ((x1 - 1) * (x1 + 2)).normalized()
     dec = squarefree_decomposition(p)
     assert dec == [((x1 + 2).normalized(), 1), ((x1 - 1).normalized(), 2)]
-    assert squarefree_part(x1 + 5) == (x1 + 5).normalized()
+    assert squarefree_part_multivar(x1 + 5) == (x1 + 5).normalized()
     assert squarefree_decomposition(x1 ** 3) == [(x1.normalized(), 3)]
     rng = random.Random(53)
     for _ in range(10):
@@ -334,6 +334,44 @@ def test_squarefree():
         for fac, mult in squarefree_decomposition(p):
             rebuilt = rebuilt * fac ** mult
         assert rebuilt.normalized() == p.normalized()
+
+
+line = 4 * y2 * (x1 - 1) - 3 * x1 + 5
+
+
+@pytest.mark.parametrize("p, expected", [
+    # a discriminant-phase input: repeated content and a repeated primitive factor
+    ((x1 - 1) ** 20 * line ** 4, (x1 - 1) * line),
+    # univariate: no content variables
+    ((2 * x1 - 1) ** 3 * (x1 + 2) ** 2, (2 * x1 - 1) * (x1 + 2)),
+    # already squarefree: the resultant with the derivative is nonzero
+    ((x1 ** 2 + y1 ** 2 - 1) * (x1 - y1), (x1 ** 2 + y1 ** 2 - 1) * (x1 - y1)),
+    # primitive part of degree 1 in y1, repeated content x1^3
+    (x1 ** 3 * (x1 * y1 + 1), x1 * (x1 * y1 + 1)),
+    # the derivative divides p, so the engine returns it as the subresultant
+    ((x1 + y1) ** 2, x1 + y1),
+    (SparsePoly.constant(F(-3, 2)), one),
+])
+def test_squarefree_part_multivar_examples(p, expected):
+    assert squarefree_part_multivar(p) == expected.normalized()
+    assert squarefree_part_by_partials(p) == expected.normalized()
+
+
+def test_squarefree_part_multivar_rejects():
+    with pytest.raises(PolyError):
+        squarefree_part_multivar(SparsePoly.zero())
+    with pytest.raises(PolyError):
+        squarefree_part_multivar(SparsePoly.monomial({"x1": -1}) * (y1 + 1) ** 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polys_in(["x1", "y2"]), polys_in(["x1", "y1"]), polys_in(["x1"]), st.integers(1, 3))
+def test_squarefree_part_multivar_matches_partials(a, b, c, k):
+    # c is in x1 alone, so it lands in the content over Q[x1]
+    p = a ** 2 * b * c ** k
+    if p.is_zero():
+        return
+    assert squarefree_part_multivar(p) == squarefree_part_by_partials(p)
 
 
 def test_exact_div_and_divides():
