@@ -36,7 +36,7 @@ from .core import (
 )
 from .multiplicity import FULTON_INFINITY, fulton_multiplicity
 from .parsing import ParseError, parse_polynomial
-from .poly import PolyError, QQ, SparsePoly, poly_to_str
+from .poly import PolyError, QQ, SparsePoly, from_dense, poly_to_str
 from .polytope import minkowski_sum, mixed_volume, newton_polygon, test_number_of_roots
 
 SCHEMA_VERSION = "1.0"
@@ -108,16 +108,10 @@ def _rho_json(c: Component):
         return None
     r = c.rho.refined(QQ(1, 10 ** 6))
     return {
-        "minpoly": _dense_str(r.dense),
+        "minpoly": poly_to_str(from_dense(r.dense, "t")),
         "interval": [str(r.lo), str(r.hi)],
         "approx": r.to_float(),
     }
-
-
-def _dense_str(dense) -> str:
-    from .realroots import from_dense
-
-    return poly_to_str(from_dense(dense, "t"))
 
 
 def _component_json(c: Component):

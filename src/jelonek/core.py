@@ -34,6 +34,7 @@ from .poly import (
     QQ,
     SparsePoly,
     exact_div,
+    from_dense,
     gcd_multivar,
     resultant,
     squarefree_decomposition,
@@ -91,7 +92,7 @@ class Component:
     minpoly: SparsePoly | None = None
     rho: RealAlgebraic | None = None
     param: tuple[SparsePoly, SparsePoly] | None = None
-    implicit: SparsePoly | None = None
+    implicit: SparsePoly | None = None  # attached by the CLI after the pipeline
 
 
 @dataclass
@@ -211,15 +212,6 @@ def _restricted_coefficients(f: SparsePoly, face, e: tuple[int, int]) -> list[Fr
     return coeffs
 
 
-def _coeffs_to_poly(coeffs, var: str, variables) -> SparsePoly:
-    p = SparsePoly.zero(variables)
-    t = SparsePoly.variable(var, variables)
-    for k, c in enumerate(coeffs):
-        if c:
-            p = p + SparsePoly.constant(c, variables) * t ** k
-    return p
-
-
 def _linear_image(P: SparsePoly, Q: SparsePoly) -> SparsePoly | None:
     """If the parametric image (P(t), Q(t)) is a line, its defining equation."""
     y1 = SparsePoly.variable("y1", P.vars)
@@ -251,8 +243,8 @@ def semi_origin_components(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, fld
     a_coeffs = _restricted_coefficients(f1, edge.summand1, e)
     b_coeffs = _restricted_coefficients(f2, edge.summand2, e)
     vars_ = f1.vars
-    P1 = _coeffs_to_poly(a_coeffs, "t", vars_)
-    P2 = _coeffs_to_poly(b_coeffs, "t", vars_)
+    P1 = from_dense(a_coeffs, "t", vars_)
+    P2 = from_dense(b_coeffs, "t", vars_)
     o1 = _face_contains_origin(edge.summand1)
     o2 = _face_contains_origin(edge.summand2)
     prov = Provenance(edge_index=edge.index, endpoints=edge.endpoints, flags=edge.flags(),
@@ -327,7 +319,7 @@ def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticeP
     if not edge.pertinent:
         raise PolyError("edge transform requires a pertinent edge")
     basis = compute_lattice_basis(edge, A)
-    tr = toric_transform(basis, edge)
+    tr = toric_transform(basis)
     y1 = SparsePoly.variable("y1", f1.vars)
     y2 = SparsePoly.variable("y2", f1.vars)
     g1 = apply_transform(f1 - y1, tr.U)
@@ -343,8 +335,7 @@ def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticeP
     if m > 0:
         g = exact_div(g, SparsePoly.monomial({"z1": m}, 1, g.vars))
     skip = g.degree("z1") < 1
-    jac = g1.derivative("z1") * g2.derivative("z2") - g1.derivative("z2") * g2.derivative("z1")
-    return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge, skip=skip, jacobian=jac)
+    return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge, skip=skip)
 
 
 def _pertinent_components(sys: EdgeSystem, fld: str, method: str) -> list[CurveComponent]:
@@ -534,11 +525,7 @@ def _back_translate(c: Component, shift: tuple[int, int]) -> Component:
     if param is not None:
         P, Q = param
         param = (P - SparsePoly.constant(a1, P.vars), Q - SparsePoly.constant(a2, Q.vars))
-    implicit = c.implicit
-    if implicit is not None:
-        implicit = implicit.subs_poly("y1", y1 + SparsePoly.constant(a1, implicit.vars))
-        implicit = implicit.subs_poly("y2", y2 + SparsePoly.constant(a2, implicit.vars)).normalized()
-    return replace(c, defining=defining, param=param, implicit=implicit)
+    return replace(c, defining=defining, param=param)
 
 
 def DEFAULT_UNIVERSE_OF(c: Component):

@@ -27,6 +27,7 @@ from .poly import (
     QQ,
     SparsePoly,
     content_wrt,
+    dense_int,
     exact_div,
     gcd_multivar,
     resultant,
@@ -43,7 +44,6 @@ from .realroots import (
     rational_roots,
     root_bound,
     sign_at,
-    to_dense,
     _root_in,
     _select_modulus_factor,
 )
@@ -61,7 +61,6 @@ class EdgeSystem:
     transform: object
     edge: object
     skip: bool
-    jacobian: SparsePoly
 
     # The two eliminations and their content splits are computed once per
     # edge and shared by ms_resultant and every real component's shortcut.
@@ -184,7 +183,7 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
             J1 = _rename_z1_to_a(R12)
             for m_factor, J in with_dynamic_splitting(mp, "a", lambda ctx: ext_gcd_multivar(J1, J2, ctx)):
                 for r in irrational:
-                    if _root_in(to_dense(m_factor, "a"), r.lo, r.hi):
+                    if _root_in(dense_int(m_factor, "a"), r.lo, r.hi):
                         if J.degree("y1") <= 0 and J.degree("y2") <= 0:
                             continue
                         components.append(CurveComponent(

@@ -18,13 +18,20 @@ denominators and monomial factors on entry, run one subresultant engine on
 ``int`` coefficients keyed by packed integer monomials, and convert back;
 ``squarefree_part_multivar`` divides by that engine's last subresultant
 and ``exact_div`` packs both operands the same way for its heap division.
+
+Univariate polynomials also have one dense form, owned by this module: the
+ascending list of coprime ``int`` coefficients (:func:`dense_int`), a
+positive rational multiple of the polynomial.  It has the same roots and
+the same sign at every point, which is all root isolation, sign tests and
+univariate gcds need; :func:`dense_gcd` runs the primitive PRS on it and
+:func:`from_dense` turns a coefficient list back into a ``SparsePoly``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 
@@ -832,74 +839,76 @@ def coeffs_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> list[SparsePoly]:
     return [SparsePoly(m, p.vars) for m in outer_coeffs.values()]
 
 
-def _dense_int(p: SparsePoly, var: str) -> list[int]:
-    """Integer-primitive ascending coefficient list of a univariate polynomial."""
-    d = p.degree(var)
+# -- the dense univariate layer ------------------------------------------------
+
+
+def dense_int(p: SparsePoly, var: str) -> list[int]:
+    """The dense form of p, univariate in ``var``: its ascending coprime
+    ``int`` coefficients, a positive rational multiple of p; [] for zero."""
     i = p._idx(var)
-    lcm = 1
-    for c in p.terms.values():
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    out = [0] * (d + 1)
+    extra = p.vars_present() - {var}
+    if extra:
+        raise PolyError(f"not univariate in {var}: extra variables {sorted(extra)}")
+    if p.is_zero():
+        return []
+    if any(exps[i] < 0 for exps in p.terms):
+        raise PolyError("negative exponents")
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    out = [0] * (p.degree(var) + 1)
     for exps, c in p.terms.items():
-        out[exps[i]] = int(c * lcm)
-    g = 0
-    for c in out:
-        g = int_gcd(g, c)
-    if g > 1:
-        out = [c // g for c in out]
-    return out
+        out[exps[i]] = c.numerator * (den // c.denominator)
+    g = int_gcd(*out)
+    return [c // g for c in out] if g > 1 else out
 
 
-def _int_trim(a: list[int]) -> list[int]:
+def from_dense(coeffs: Sequence, var: str, variables: Sequence[str] = DEFAULT_VARS) -> SparsePoly:
+    """The polynomial sum coeffs[k] var^k; ``int`` or ``Fraction`` coefficients."""
+    variables = tuple(variables)
+    i = variables.index(var)
+    terms = {}
+    for k, c in enumerate(coeffs):
+        if c:
+            e = [0] * len(variables)
+            e[i] = k
+            terms[tuple(e)] = c
+    return SparsePoly(terms, variables)
+
+
+def dense_trim(a: list) -> list:
+    """Drop trailing zero coefficients in place."""
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _int_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = int_gcd(g, c)
-    if g > 1:
-        a = [c // g for c in a]
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    a = list(a)
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder of a by a nonconstant b, primitive with positive
+    leading coefficient."""
     db = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and a:
+    while len(a) > db:
         la = a[-1]
         k = len(a) - 1 - db
         a = [c * lb for c in a]
         for i, c in enumerate(b):
             a[k + i] -= la * c
-        a = _int_trim(a)
-    return a
+        a = dense_trim(a)
+    if not a:
+        return a
+    g = int_gcd(*a) if a[-1] > 0 else -int_gcd(*a)
+    return [c // g for c in a] if g != 1 else a
 
 
-def _gcd_univar_dense(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
-    """Primitive-PRS gcd for univariate polynomials; fast on big coefficients."""
-    a = _dense_int(p, var)
-    b = _dense_int(q, var)
+def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Gcd of two dense forms, not both zero, by the primitive PRS: primitive
+    with positive leading coefficient, [1] when coprime."""
     if len(a) < len(b):
         a, b = b, a
     while b:
         if len(b) == 1:
-            return SparsePoly.monomial({}, 1, p.vars)
-        r = _int_primitive(_int_prem(a, b))
-        a, b = b, r
-    i = p.vars.index(var)
-    terms = {}
-    for k, c in enumerate(_int_primitive(a)):
-        if c:
-            e = [0] * len(p.vars)
-            e[i] = k
-            terms[tuple(e)] = QQ(c)
-    return SparsePoly(terms, p.vars).normalized()
+            return [1]
+        a, b = b, _primitive_prem(a, b)
+    return [-c for c in a] if a[-1] < 0 else list(a)
 
 
 def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
@@ -928,7 +937,8 @@ def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     if qv != common:
         return gcd_multivar(p, content_wrt(q, common)[0])
     if len(common) == 1:
-        return _gcd_univar_dense(p, q, next(iter(common)))
+        v = next(iter(common))
+        return from_dense(dense_gcd(dense_int(p, v), dense_int(q, v)), v, p.vars)
     # main variable: the last common one in universe order keeps elimination
     # variables (x, z) as coefficients less often than not; any choice works.
     var = [v for v in p.vars if v in common][-1]

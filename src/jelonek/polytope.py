@@ -244,8 +244,6 @@ class LatticeBasis:
 @dataclass(frozen=True)
 class ToricTransform:
     U: tuple[tuple[int, int], tuple[int, int]]
-    shift1: Point  # r1: the cleared vertex of the first summand, negated
-    shift2: Point
     basis: LatticeBasis
 
 
@@ -304,28 +302,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def toric_transform(basis: LatticeBasis, edge: EdgeRecord | None = None) -> ToricTransform:
-    """The unimodular monomial transform U = T^(-T) plus clearing shifts."""
+def toric_transform(basis: LatticeBasis) -> ToricTransform:
+    """The unimodular monomial transform U = T^(-T)."""
     v, w, D = basis.v, basis.w, basis.det
     assert _det(v, w) == D and D in (1, -1)
     U = ((w[1] * D, -w[0] * D), (-v[1] * D, v[0] * D))
-    shift1 = (0, 0)
-    shift2 = (0, 0)
-    if edge is not None:
-        g1, g2 = summand_vertices_at(edge, basis.anchor)
-        shift1 = (-g1[0], -g1[1])
-        shift2 = (-g2[0], -g2[1])
-    return ToricTransform(U=U, shift1=shift1, shift2=shift2, basis=basis)
-
-
-def summand_vertices_at(edge: EdgeRecord, endpoint: Point) -> tuple[Point, Point]:
-    """The summand vertices g1, g2 with g1 + g2 == the given edge endpoint."""
-    f1, f2 = edge.summand1, edge.summand2
-    for g1 in f1:
-        for g2 in f2:
-            if (g1[0] + g2[0], g1[1] + g2[1]) == endpoint:
-                return g1, g2
-    raise PolyError("endpoint does not decompose over the summands")
+    return ToricTransform(U=U, basis=basis)
 
 
 def apply_transform(p: SparsePoly, U, from_vars=("x1", "x2"), to_vars=("z1", "z2")) -> SparsePoly:

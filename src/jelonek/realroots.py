@@ -7,9 +7,10 @@ midpoints; along it every interval carries an integer multiple of the
 polynomial mapped onto (0, 1), so the tests run on ``int`` coefficients
 (Collins-Akritas; Rouillier-Zimmermann) and only the interval endpoints
 are ``Fraction``s.  Numbers are carried in isolating-interval representation:
-a squarefree primitive ``int`` polynomial plus a rational interval containing
-exactly one of its roots; its sign at a rational u/v is the sign of the
-integer sum c_i u^i v^(n-i), so refinement and comparison never evaluate in
+a squarefree dense form (``poly.dense_int``: coprime ``int`` coefficients)
+plus a rational interval containing exactly one of its roots; its sign at a
+rational u/v is the sign of the integer sum c_i u^i v^(n-i), so refinement,
+comparison and the gcds behind them (``poly.dense_gcd``) never evaluate in
 ``Fraction`` arithmetic.
 
 Real-solution counting for zero-dimensional bivariate systems works in a
@@ -23,7 +24,6 @@ factors, weighted by multiplicity; no root is built as a number.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 from .extension import (
@@ -36,59 +36,19 @@ from .extension import (
     split_minpoly,
 )
 from .poly import (
-    DEFAULT_VARS,
     PolyError,
     QQ,
     SparsePoly,
+    dense_gcd,
+    dense_int,
+    from_dense,
     gcd_multivar,
     resultant_and_penultimate,
     squarefree_decomposition,
 )
 
 
-# -- dense univariate helpers over Q ----------------------------------------
-
-
-def to_dense(p: SparsePoly, var: str) -> list[Fraction]:
-    """Ascending coefficient list of a polynomial univariate in ``var``."""
-    extra = p.vars_present() - {var}
-    if extra:
-        raise PolyError(f"not univariate: extra variables {sorted(extra)}")
-    if p.is_zero():
-        return []
-    d = p.degree(var)
-    out = [QQ(0)] * (d + 1)
-    i = p._idx(var)
-    for exps, c in p.terms.items():
-        out[exps[i]] = c
-    return out
-
-
-def from_dense(coeffs: Sequence[Fraction], var: str, variables=None) -> SparsePoly:
-    variables = tuple(variables) if variables is not None else DEFAULT_VARS
-    i = variables.index(var)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * len(variables)
-            e[i] = k
-            terms[tuple(e)] = QQ(c)
-    return SparsePoly(terms, variables)
-
-
-def dense_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _primitive_int(p: Sequence[Fraction]) -> list[int]:
-    """The positive rational multiple of p with coprime integer coefficients;
-    it has the sign of p at every point."""
-    den = lcm(*(c.denominator for c in p))
-    out = [c.numerator * (den // c.denominator) for c in p]
-    num = gcd(*out)
-    return [c // num for c in out] if num else out
+# -- dense univariate root isolation ----------------------------------------
 
 
 def _sign_at(p: Sequence[int], x: Fraction) -> int:
@@ -101,13 +61,12 @@ def _sign_at(p: Sequence[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def cauchy_bound(p: Sequence[Fraction]) -> Fraction:
-    """1 + max |a_i| / |a_n|: every complex root has magnitude below this."""
-    p = dense_trim(list(p))
+def cauchy_bound(p: Sequence[int]) -> Fraction:
+    """1 + max |a_i| / |a_n| of a dense form: every complex root has
+    magnitude below this."""
     if len(p) <= 1:
         raise PolyError("bound needs a nonconstant polynomial")
-    lead = abs(p[-1])
-    return 1 + max(abs(c) for c in p[:-1]) / lead
+    return 1 + QQ(max(abs(c) for c in p[:-1]), abs(p[-1]))
 
 
 def _shift1(q: Sequence[int]) -> list[int]:
@@ -125,8 +84,8 @@ def _reflect(q: Sequence[int]) -> list[int]:
     return [-c if i % 2 else c for i, c in enumerate(q)]
 
 
-def isolate_squarefree_dense(p: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
-    """Isolating intervals for all real roots of a squarefree polynomial.
+def isolate_squarefree_dense(p: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals for all real roots of a squarefree dense form.
 
     Returns (lo, hi) pairs with lo == hi for exactly-hit rational roots and
     p(lo) * p(hi) < 0 otherwise.
@@ -138,16 +97,14 @@ def isolate_squarefree_dense(p: list[Fraction]) -> list[tuple[Fraction, Fraction
     number of roots inside.  Halving
     takes q(x/2) 2^n; the right half is the left half shifted by one.
     """
-    p = dense_trim(list(p))
     if len(p) <= 1:
         return []
     out: list[tuple[Fraction, Fraction]] = []
     bound = cauchy_bound(p)
     n = len(p) - 1
     num, den = bound.numerator, bound.denominator
-    clear = lcm(*(c.denominator for c in p))
-    # p(B x) D^n clear, B = N/D: coefficient i is p_i N^i D^(n-i) clear
-    right = [c.numerator * (clear // c.denominator) * num ** i * den ** (n - i) for i, c in enumerate(p)]
+    # p(B x) D^n, B = N/D: coefficient i is p_i N^i D^(n-i)
+    right = [c * num ** i * den ** (n - i) for i, c in enumerate(p)]
     if right[0] == 0:
         out.append((QQ(0), QQ(0)))
     left = _reflect(_shift1(_reflect(right)))  # p(B (x - 1))
@@ -179,9 +136,8 @@ class RealAlgebraic:
 
     __slots__ = ("dense", "lo", "hi")
 
-    def __init__(self, dense: Sequence[Fraction], lo: Fraction, hi: Fraction):
-        dense = _primitive_int(dense_trim(list(dense)))
-        self.dense = tuple(-c for c in dense) if dense and dense[-1] < 0 else tuple(dense)
+    def __init__(self, dense: Sequence[int], lo: Fraction, hi: Fraction):
+        self.dense = tuple(-c for c in dense) if dense[-1] < 0 else tuple(dense)
         self.lo = QQ(lo)
         self.hi = QQ(hi)
         if self.lo > self.hi:
@@ -195,7 +151,7 @@ class RealAlgebraic:
     @classmethod
     def from_rational(cls, r) -> "RealAlgebraic":
         r = QQ(r)
-        return cls([-r, QQ(1)], r, r)
+        return cls([-r.numerator, r.denominator], r, r)
 
     @property
     def degree(self) -> int:
@@ -273,7 +229,7 @@ class RealAlgebraic:
         return f"RealAlgebraic(~{self.to_float():.6f})"
 
 
-def _interval_eval(p: Sequence[Fraction], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def _interval_eval(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     mn, mx = QQ(0), QQ(0)
     for c in reversed(p):
         cands = (mn * lo, mn * hi, mx * lo, mx * hi)
@@ -286,17 +242,16 @@ def sign_at(q: SparsePoly, alpha: RealAlgebraic, var: str | None = None) -> int:
     present = q.vars_present()
     if var is None:
         var = next(iter(present)) if present else "x1"
-    dense = to_dense(q, var)
-    return sign_at_dense(dense, alpha)
+    return sign_at_dense(dense_int(q, var), alpha)
 
 
-def sign_at_dense(dense: Sequence[Fraction], alpha: RealAlgebraic) -> int:
-    dense = dense_trim(list(dense))
+def sign_at_dense(dense: Sequence[int], alpha: RealAlgebraic) -> int:
+    """Exact sign at alpha of the polynomial with dense form ``dense``."""
     if not dense:
         return 0
     if alpha.is_rational():
-        return _sign_at(_primitive_int(dense), alpha.as_fraction())
-    g = _primitive_int(to_dense(gcd_multivar(from_dense(dense, "x1"), alpha.minpoly_sparse("x1")), "x1"))
+        return _sign_at(dense, alpha.as_fraction())
+    g = dense_gcd(dense, alpha.dense)
     if len(g) > 1:
         glo = _sign_at(g, alpha.lo)
         ghi = _sign_at(g, alpha.hi)
@@ -319,7 +274,7 @@ def compare(a: RealAlgebraic, b: RealAlgebraic) -> int:
         return -b.cmp_fraction(a.as_fraction())
     if b.is_rational():
         return a.cmp_fraction(b.as_fraction())
-    g = _primitive_int(to_dense(gcd_multivar(a.minpoly_sparse("x1"), b.minpoly_sparse("x1")), "x1"))
+    g = dense_gcd(a.dense, b.dense)
     x, y = a, b
     while not (x.hi < y.lo or y.hi < x.lo):
         if len(g) > 1:
@@ -332,8 +287,7 @@ def compare(a: RealAlgebraic, b: RealAlgebraic) -> int:
     return -1 if x.hi < y.lo else 1
 
 
-def _root_in(g: Sequence[Fraction], lo: Fraction, hi: Fraction) -> bool:
-    g = _primitive_int(g)
+def _root_in(g: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     glo, ghi = _sign_at(g, lo), _sign_at(g, hi)
     return glo == 0 or ghi == 0 or glo != ghi
 
@@ -374,7 +328,7 @@ def isolate_real_roots(p: SparsePoly, var: str | None = None) -> list[tuple[Real
         return []
     roots: list[tuple[RealAlgebraic, int]] = []
     for factor, mult in squarefree_decomposition(p, var):
-        dense = to_dense(factor, var)
+        dense = dense_int(factor, var)
         for lo, hi in isolate_squarefree_dense(dense):
             root = RealAlgebraic(dense, lo, hi)
             r = _extract_rational(root)
@@ -411,7 +365,7 @@ def root_bound(p: SparsePoly, var: str | None = None) -> Fraction:
         if len(present) != 1:
             raise PolyError("not a nonconstant univariate polynomial")
         var = next(iter(present))
-    return cauchy_bound(to_dense(p, var))
+    return cauchy_bound(dense_int(p, var))
 
 
 def rational_roots(p: SparsePoly, var: str | None = None) -> list[Fraction]:
@@ -478,7 +432,7 @@ def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebr
         if elem.is_constant():
             c = elem.constant_value()
             return (c > 0) - (c < 0)
-        return sign_at_dense(to_dense(elem, ctx.var), alpha)
+        return sign_at_dense(dense_int(elem, ctx.var), alpha)
 
     plus, minus = [], []
     for f in seq:
@@ -582,7 +536,7 @@ def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
     distinct = 0
     with_mult = 0
     for f, mult in factors:
-        n = len(isolate_squarefree_dense(to_dense(f, "x1")))
+        n = len(isolate_squarefree_dense(dense_int(f, "x1")))
         distinct += n
         with_mult += n * mult
     return distinct, with_mult
@@ -610,7 +564,7 @@ def count_real_solutions_param(f1: SparsePoly, f2: SparsePoly, pvar: str, alpha:
 
 def _select_modulus_factor(factor: SparsePoly, minpoly: SparsePoly, pvar: str, alpha: RealAlgebraic) -> SparsePoly:
     f, co = split_minpoly(minpoly, factor)
-    return f if _root_in(to_dense(f, pvar), alpha.lo, alpha.hi) else co
+    return f if _root_in(dense_int(f, pvar), alpha.lo, alpha.hi) else co
 
 
 def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealAlgebraic, minpoly: SparsePoly) -> tuple[int, int]:
@@ -638,7 +592,7 @@ def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealA
             raise ShearError("fiber degeneracy at a resultant root")
     elif not c1.is_constant():
         # x1-free but parameter-dependent: must not vanish at alpha
-        if sign_at_dense(to_dense(c1, pvar), alpha) == 0:
+        if sign_at_dense(dense_int(c1, pvar), alpha) == 0:
             raise ShearError("first subresultant vanishes at the parameter")
     distinct = 0
     with_mult = 0

@@ -16,7 +16,9 @@ import mpmath as mp
 from jelonek.poly import (
     PolyError,
     SparsePoly,
+    dense_int,
     exact_div,
+    from_dense,
     gcd_multivar,
     resultant,
     resultant_and_penultimate,
@@ -79,6 +81,21 @@ def _yun_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:
     return acc.normalized()
 
 
+def euclid_gcd(a: list[F], b: list[F]) -> list[F]:
+    """Reference univariate gcd: Euclid's algorithm on ascending ``Fraction``
+    coefficient lists, monic; [] only for gcd(0, 0)."""
+    a, b = list(a), list(b)
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            k = len(a) - len(b)
+            a = [c - q * b[i - k] if i >= k else c for i, c in enumerate(a)][:-1]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a] if a else a
+
+
 def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
     """Reference real-solution count: a gcd pre-check for a shared curve,
     then a certified shear whose resultant roots are isolated as real
@@ -116,13 +133,11 @@ def _specialize_exact(sym: SparsePoly, y: tuple[F, F], var: str) -> list[F]:
     return [c.constant_value() for c in spec.as_univariate(var)]
 
 
-def _exact_squarefree(coeffs: list[F]) -> list[F]:
-    from jelonek.realroots import from_dense, to_dense
-
+def _exact_squarefree(coeffs: list[F]) -> list:
     p = from_dense(coeffs, "x1")
     if p.degree("x1") < 1:
         return coeffs
-    return to_dense(_yun_squarefree_part(p, "x1"), "x1")
+    return dense_int(_yun_squarefree_part(p, "x1"), "x1")
 
 
 def _mp_real_roots(coeffs: list[F], dps: int = 60):

@@ -317,7 +317,7 @@ def test_criterion_7_lattice_basis_properties():
                 v, w, a1 = basis.v, basis.w, basis.anchor
                 D = v[0] * w[1] - v[1] * w[0]
                 assert D in (1, -1) and D == basis.det
-                tr = toric_transform(basis, edge)
+                tr = toric_transform(basis)
                 U = tr.U
                 assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
                 for p in lattice:

@@ -103,8 +103,7 @@ def test_ms_resultant_coprime_gives_nothing():
     from jelonek.multiplicity import EdgeSystem
 
     g = (z1 - 2).normalized()
-    sys = EdgeSystem(g1=g1, g2=g2, g=g, transform=None, edge=None, skip=False,
-                     jacobian=SparsePoly.zero())
+    sys = EdgeSystem(g1=g1, g2=g2, g=g, transform=None, edge=None, skip=False)
     comps = ms_resultant(sys, "R")
     for c in comps:
         assert not c.defining.is_zero()

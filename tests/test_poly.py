@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,8 +12,11 @@ from jelonek.poly import (
     PolyError,
     SparsePoly,
     content_wrt,
+    dense_gcd,
+    dense_int,
     divides,
     exact_div,
+    from_dense,
     gcd_multivar,
     poly_to_str,
     pseudo_division,
@@ -21,7 +25,7 @@ from jelonek.poly import (
     squarefree_part_multivar,
 )
 from jelonek.parsing import parse_polynomial as P
-from oracles import grlex_exact_div, squarefree_part_by_partials
+from oracles import euclid_gcd, grlex_exact_div, squarefree_part_by_partials
 from strategies import polys_in
 
 
@@ -314,6 +318,48 @@ def test_gcd_with_unshared_variables_property(g, a, b):
     assert h == h.normalized()
     assert divides(h, p) and divides(h, q)
     assert divides(g, h)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys_in(["x1"], max_deg=4, max_terms=4), polys_in(["x1"], max_deg=4, max_terms=4),
+       polys_in(["x1"], max_deg=3))
+@example(x1 ** 2 - 4, x1 ** 2 + 4 * x1 + 4, one)
+@example(x1 - F(1, 3), SparsePoly.zero(), x1 + F(2, 5))
+def test_dense_layer_matches_euclid_oracle(a, b, h):
+    """dense_int is a positive multiple of p with coprime ints, from_dense
+    inverts it up to that multiple, and dense_gcd is a positive multiple of
+    Euclid's monic gcd over Q."""
+    for p in (a, b, h):
+        d = dense_int(p, "x1")
+        assert all(isinstance(c, int) for c in d)
+        if p.is_zero():
+            assert d == []
+            continue
+        back = from_dense(d, "x1")
+        ratio = p.leading_term()[1] / back.leading_term()[1]
+        assert ratio > 0 and back.scale(ratio) == p
+        assert gcd(*d) == 1
+    A, B = a * h, b * h
+    if A.is_zero() and B.is_zero():
+        return
+    g = dense_gcd(dense_int(A, "x1"), dense_int(B, "x1"))
+    assert g[-1] > 0
+    a_coeffs, b_coeffs = ([c.constant_value() for c in p.as_univariate("x1")] for p in (A, B))
+    assert [F(c, g[-1]) for c in g] == euclid_gcd(a_coeffs, b_coeffs)
+
+
+def test_dense_int_rejects_laurent_and_extra_variables():
+    # x1 - 4/x1 and x1 - 2 share the factor x1 - 2; a Laurent operand is
+    # rejected rather than read with its exponent -1 as an index
+    p = x1 - SparsePoly.monomial({"x1": -1}, 4)
+    with pytest.raises(PolyError):
+        dense_int(p, "x1")
+    with pytest.raises(PolyError):
+        gcd_multivar(p, x1 - 2)
+    with pytest.raises(PolyError):
+        dense_int(x1 * x2, "x1")
+    assert dense_int(SparsePoly.zero(), "x1") == []
+    assert dense_int(F(3, 4) * x1 ** 2 - F(1, 6), "x1") == [-2, 0, 9]
 
 
 def test_squarefree():

@@ -14,7 +14,6 @@ from jelonek.polytope import (
     minkowski_sum,
     mixed_volume,
     newton_polygon,
-    summand_vertices_at,
     test_number_of_roots as count_equals_mv,
     toric_transform,
 )
@@ -163,7 +162,7 @@ def test_lattice_basis_intro_example():
     basis = compute_lattice_basis(edge, S)
     assert basis.anchor == (2, 2)
     assert basis.v == (1, 2)
-    tr = toric_transform(basis, edge)
+    tr = toric_transform(basis)
     assert tr.U == ((-1, 1), (-2, 1))
     # the inner normal maps to (0, 1) under U^(-T) = T
     a = edge.inner_normal
@@ -216,7 +215,7 @@ def test_transform_supports_nonnegative():
     y1 = SparsePoly.variable("y1")
     for edge in records:
         basis = compute_lattice_basis(edge, S)
-        tr = toric_transform(basis, edge)
+        tr = toric_transform(basis)
         g = apply_transform(f1 - y1, tr.U)
         assert g.min_degree("z1") >= 0 and g.min_degree("z2") >= 0
 

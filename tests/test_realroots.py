@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import count_real_solutions_by_isolation
 from strategies import polys_in
-from jelonek.poly import PolyError, SparsePoly, resultant
+from jelonek.poly import PolyError, SparsePoly, dense_int, from_dense, resultant
 from jelonek.realroots import (
     RealAlgebraic,
     ShearError,
@@ -24,8 +24,6 @@ from jelonek.realroots import (
     root_bound,
     sheared_resultant,
     sign_at,
-    to_dense,
-    _primitive_int,
     _shear,
     _sign_at,
 )
@@ -66,6 +64,9 @@ def test_isolate_no_real_roots_and_errors():
     assert isolate_real_roots(SparsePoly.constant(5)) == []
     with pytest.raises(PolyError):
         isolate_real_roots(SparsePoly.zero())
+    # x1 - 4/x1: the exponent -1 is refused, not read as a list index
+    with pytest.raises(PolyError):
+        isolate_real_roots(x1 - SparsePoly.monomial({"x1": -1}, 4))
 
 
 # Expected (lo, hi) pairs recorded from the Fraction Taylor-shift bisection
@@ -100,7 +101,7 @@ PINNED_INTERVALS = {
 @pytest.mark.parametrize("name", PINNED_INTERVALS)
 def test_isolate_squarefree_dense_pinned(name):
     p, expected = PINNED_INTERVALS[name]
-    got = isolate_squarefree_dense(to_dense(p, "x1"))
+    got = isolate_squarefree_dense(dense_int(p, "x1"))
     assert got == [(F(lo), F(hi)) for lo, hi in expected]
 
 
@@ -252,7 +253,7 @@ _rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 12))
 @example([F(1, 3), F(-1)], F(1, 3))
 def test_integer_sign_matches_fraction_evaluation(p, x):
     value = sum((c * x ** i for i, c in enumerate(p)), F(0))
-    assert _sign_at(_primitive_int(p), x) == (value > 0) - (value < 0)
+    assert _sign_at(dense_int(from_dense(p, "x1"), "x1"), x) == (value > 0) - (value < 0)
 
 
 def test_count_matches_numeric_oracle():
