@@ -6,6 +6,11 @@ factor is raised as :class:`ZeroDivisor` so callers can split the modulus
 and continue per factor (dynamic evaluation).  Elements and polynomials
 over the extension are plain :class:`SparsePoly` values kept reduced in the
 extension variable.
+
+One routine per job: :func:`divmod_univar` divides with remainder,
+:func:`ext_exact_div` gives exact quotients, :func:`ext_monic` normalizes and
+:func:`ext_gcd_multivar` is the one gcd; its pseudo-remainder sequence is
+kept monic, so a zero divisor met on the way splits the modulus.
 """
 
 from __future__ import annotations
@@ -112,66 +117,82 @@ class ExtContext:
         return self.reduce(s1.scale(1 / r1.constant_value()))
 
 
-def ext_monic(p: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:
+def _ext_lead(p: SparsePoly, ctx: ExtContext) -> tuple[tuple[int, ...], SparsePoly]:
+    """(exponents, coefficient in Q[a]/(m)) of the graded-lex leading term
+    of nonzero p over the variables other than the extension variable."""
+    ai = p._idx(ctx.var)
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], QQ]] = {}
+    for exps, c in p.terms.items():
+        key = exps[:ai] + (0,) + exps[ai + 1:]
+        groups.setdefault(key, {})[tuple(e if i == ai else 0 for i, e in enumerate(exps))] = c
+    lead = max(groups, key=grlex_key)
+    return lead, SparsePoly(groups[lead], p.vars)
+
+
+def ext_monic(p: SparsePoly, ctx: ExtContext) -> SparsePoly:
+    """p reduced and scaled so that its graded-lex leading coefficient over
+    the variables other than the extension variable is 1.
+
+    Inverting that coefficient raises :class:`ZeroDivisor` when it vanishes
+    on a proper factor of m.
+    """
     p = ctx.reduce(p)
     if p.is_zero():
         return p
-    d = p.degree(main)
-    lc = p.coeff_of(main, d)
+    _, lc = _ext_lead(p, ctx)
     if lc.is_constant():
         return p.scale(1 / lc.constant_value())
     return ctx.reduce(p * ctx.inverse(lc))
 
 
-def ext_gcd_univar(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:
-    """Monic gcd in (Q[a]/(m))[main]; raises ZeroDivisor to trigger splits."""
-    a, b = ctx.reduce(p), ctx.reduce(q)
-    if a.is_zero() and b.is_zero():
-        raise PolyError("gcd(0, 0) undefined")
-    while not b.is_zero():
-        if b.degree(main) == 0:
-            if ctx.is_zero(b):
-                break
-            return SparsePoly.constant(1, p.vars)
-        _, r = divmod_univar(a, b, main, ctx)
-        a, b = b, r
-    return ext_monic(a, main, ctx)
+def ext_exact_div(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
+    """Exact quotient p/q in (Q[a]/(m))[vars]; raises :class:`PolyError` if
+    q does not divide p.
+
+    q's leading coefficient (:func:`_ext_lead`) is inverted once, which may
+    raise :class:`ZeroDivisor`; each step cancels the remainder's leading
+    term and reduces modulo m.  A leading term that is not a multiple of
+    q's leading monomial means q does not divide p.
+    """
+    p, q = ctx.reduce(p), ctx.reduce(q)
+    if q.is_zero():
+        raise PolyError("division by zero")
+    lq, lc = _ext_lead(q, ctx)
+    inv = ctx.inverse(lc)
+    q = ctx.reduce(q * inv)
+    quo = SparsePoly.zero(p.vars)
+    rem = p
+    while not rem.is_zero():
+        lr, c = _ext_lead(rem, ctx)
+        shift = tuple(er - eq for er, eq in zip(lr, lq))
+        if min(shift) < 0:
+            raise PolyError("not divisible over extension")
+        term = c * SparsePoly({shift: QQ(1)}, p.vars)
+        quo = quo + term
+        rem = ctx.reduce(rem - q * term)
+    return ctx.reduce(quo * inv)
 
 
 def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> list[tuple[SparsePoly, int]]:
-    """Yun decomposition over the quotient field; factors monic in ``main``."""
+    """Yun decomposition of p in (Q[a]/(m))[main]; factors as :func:`ext_monic`
+    makes them.  May raise :class:`ZeroDivisor`."""
     p = ctx.reduce(p)
     if p.is_zero():
         raise PolyError("zero polynomial")
     if p.degree(main) < 1:
         return []
     dp = ctx.reduce(p.derivative(main))
-    g = ext_gcd_univar(p, dp, main, ctx)
-    c, rem = divmod_univar(p, g, main, ctx)
-    if not ctx.is_zero(rem):
-        raise PolyError("inexact division in Yun")
-    dq, rem = divmod_univar(dp, g, main, ctx)
-    if not ctx.is_zero(rem):
-        raise PolyError("inexact division in Yun")
-    d = ctx.reduce(dq - c.derivative(main))
+    g = ext_gcd_multivar(p, dp, ctx)
     out: list[tuple[SparsePoly, int]] = []
+    c = ext_exact_div(p, g, ctx)
+    d = ctx.reduce(ext_exact_div(dp, g, ctx) - c.derivative(main))
     i = 1
     while c.degree(main) > 0:
-        a = ext_gcd_univar(c, d, main, ctx) if not d.is_zero() else ext_monic(c, main, ctx)
+        a = ext_gcd_multivar(c, d, ctx)
         if a.degree(main) > 0:
             out.append((a, i))
-        c, rem = divmod_univar(c, a, main, ctx)
-        if not ctx.is_zero(rem):
-            raise PolyError("inexact division in Yun")
-        if d.is_zero():
-            d = SparsePoly.zero(p.vars)
-            dnew = -c.derivative(main)
-        else:
-            dq, rem = divmod_univar(d, a, main, ctx)
-            if not ctx.is_zero(rem):
-                raise PolyError("inexact division in Yun")
-            dnew = ctx.reduce(dq - c.derivative(main))
-        d = dnew
+        c = ext_exact_div(c, a, ctx)
+        d = ctx.reduce(ext_exact_div(d, a, ctx) - c.derivative(main))
         i += 1
     return out
 
@@ -197,74 +218,26 @@ def ext_content_wrt(p: SparsePoly, inner_vars, ctx: ExtContext) -> tuple[SparseP
     return content, ext_exact_div(p, content, ctx)
 
 
-def ext_exact_div(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
-    """Exact division in (Q[a]/(m))[vars]; main-variable-free divisors allowed."""
-    p = ctx.reduce(p)
-    q = ctx.reduce(q)
-    if q.is_zero():
-        raise PolyError("division by zero")
-    if p.is_zero():
-        return p
-    # choose any variable present in q (other than the extension variable)
-    qv = sorted(q.vars_present() - {ctx.var})
-    if not qv:
-        return ctx.reduce(p * ctx.inverse(q))
-    main = qv[-1]
-    quo, rem = ext_divmod_general(p, q, main, ctx)
-    if not ctx.is_zero(rem):
-        raise PolyError("not divisible over extension")
-    return quo
-
-
-def ext_divmod_general(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> tuple[SparsePoly, SparsePoly]:
-    """Pseudo-free division for exact quotients: leading coeff may be a polynomial.
-
-    Performs ordinary division steps using graded-lex leading terms of ``q``
-    restricted to ``main`` powers; only valid when the division is exact or
-    the remainder is genuinely irreducible further.
-    """
-    dq = q.degree(main)
-    lc_q = q.coeff_of(main, dq)
-    quo = SparsePoly.zero(p.vars)
-    rem = ctx.reduce(p)
-    i = p._idx(main)
-    while not rem.is_zero() and rem.degree(main) >= dq:
-        dr = rem.degree(main)
-        lead = rem.coeff_of(main, dr)
-        # divide lead by lc_q over the extension (recursively exact)
-        try:
-            factor = ext_exact_div(lead, lc_q, ctx)
-        except PolyError:
-            return quo, rem
-        shift = [0] * len(p.vars)
-        shift[i] = dr - dq
-        mono = SparsePoly({tuple(shift): QQ(1)}, p.vars)
-        quo = quo + factor * mono
-        new_rem = ctx.reduce(rem - q * factor * mono)
-        if not new_rem.is_zero() and new_rem.degree(main) >= dr and new_rem.coeff_of(main, dr) == lead:
-            return quo, rem
-        rem = new_rem
-    return quo, rem
-
-
 def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
-    """Gcd of multivariate polynomials over Q[a]/(m), monic-normalized.
+    """Gcd of multivariate polynomials over Q[a]/(m), made :func:`ext_monic`.
 
     An operand that vanishes on a proper factor of m raises
     :class:`ZeroDivisor` with that factor.  An operand with variables the
     other lacks is then replaced by its content over the common variables,
-    as in :func:`gcd_multivar`, and a primitive pseudo-remainder sequence
-    runs in the last common variable with recursive content extraction,
-    which may raise :class:`ZeroDivisor` as well.
+    as in :func:`gcd_multivar`, and a pseudo-remainder sequence runs in the
+    last common variable.  The operands and each remainder are made
+    primitive (recursive content extraction) and then monic; inverting a
+    leading coefficient raises :class:`ZeroDivisor` where it vanishes on a
+    factor of m, as content extraction may.
     """
     p = ctx.reduce(p)
     q = ctx.reduce(q)
     if p.is_zero() and q.is_zero():
         raise PolyError("gcd(0, 0) undefined")
     if p.is_zero():
-        return _ext_normal(q, ctx)
+        return ext_monic(q, ctx)
     if q.is_zero():
-        return _ext_normal(p, ctx)
+        return ext_monic(p, ctx)
     # where an operand vanishes the gcd is the other one: split there first
     _split_where_zero(p, ctx)
     _split_where_zero(q, ctx)
@@ -287,13 +260,13 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
         cont = SparsePoly.constant(1, p.vars)
     else:
         cont = ext_gcd_multivar(cp, cq, ctx)
-    a, b = pp, qq
+    # inverting every leading coefficient of the sequence splits m where one
+    # vanishes on a factor, where the degrees and so the remainders differ;
+    # a and b stay nonzero and primitive
+    a, b = ext_monic(pp, ctx), ext_monic(qq, ctx)
     if a.degree(main) < b.degree(main):
         a, b = b, a
     while True:
-        if b.is_zero():
-            g = a
-            break
         if b.degree(main) == 0:
             g = SparsePoly.constant(1, p.vars)
             break
@@ -301,11 +274,11 @@ def ext_gcd_multivar(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePol
         if r.is_zero():
             g = b
             break
-        _, r = ext_content_wrt(r, coeff_vars, ctx)
+        # the content is a unit over Q[a]/(m) when r is univariate: making r
+        # monic also keeps the coefficients from growing
+        r = ext_monic(ext_content_wrt(r, coeff_vars, ctx)[1], ctx)
         a, b = b, r
-    if not g.is_constant():
-        _, g = ext_content_wrt(g, coeff_vars, ctx)
-    return _ext_normal(ctx.reduce(cont * g), ctx)
+    return ext_monic(cont * g, ctx)
 
 
 def _split_where_zero(p: SparsePoly, ctx: ExtContext) -> None:
@@ -340,26 +313,6 @@ def ext_pseudo_rem(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> 
         if guard > 10000:
             raise PolyError("pseudo-remainder failed to terminate")
     return rem
-
-
-def _ext_normal(p: SparsePoly, ctx: ExtContext) -> SparsePoly:
-    """Monic w.r.t. the graded-lex leading term among non-extension variables."""
-    p = ctx.reduce(p)
-    if p.is_zero():
-        return p
-    coeffs = {}
-    for exps, c in p.terms.items():
-        key = tuple(0 if v == ctx.var else e for v, e in zip(p.vars, exps))
-        coeffs.setdefault(key, {})[exps] = c
-    lead_key = max(coeffs, key=grlex_key)
-    lead = SparsePoly(coeffs[lead_key], p.vars)
-    # strip the extension variable exponents back in
-    ai = p.vars.index(ctx.var)
-    lead_elem = SparsePoly({tuple(e if i == ai else 0 for i, e in enumerate(exps)): c
-                            for exps, c in lead.terms.items()}, p.vars)
-    if lead_elem.is_constant():
-        return p.scale(1 / lead_elem.constant_value())
-    return ctx.reduce(p * ctx.inverse(lead_elem))
 
 
 def split_minpoly(minpoly: SparsePoly, factor: SparsePoly) -> list[SparsePoly]:

@@ -23,6 +23,7 @@ factors, weighted by multiplicity; no root is built as a number.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,7 +31,7 @@ from .extension import (
     ExtContext,
     ZeroDivisor,
     divmod_univar,
-    ext_gcd_univar,
+    ext_gcd_multivar,
     ext_monic,
     ext_squarefree_decomposition,
     split_minpoly,
@@ -384,31 +385,20 @@ def rational_roots(p: SparsePoly, var: str | None = None) -> list[Fraction]:
 
 
 def _extract_rational(alpha: RealAlgebraic) -> Fraction | None:
+    """alpha as a Fraction when it is rational, else None.
+
+    A rational root u/v of the primitive dense form has v dividing its
+    leading coefficient lc, so it is k/lc for an integer k; on an interval
+    narrower than 1/lc the only candidate is ceil(lo*lc)/lc.
+    """
     if alpha.is_rational():
         return alpha.as_fraction()
-    lead = abs(alpha.dense[-1])
-    if lead > 10 ** 12:
-        # divisor enumeration would be too costly; keep the algebraic form
-        return None
-    divisors = _divisors(lead)
-    a = alpha.refined(QQ(1, 2 * lead * lead + 1))
-    for q in divisors:
-        num = round(a.mid() * q)
-        cand = QQ(num, q)
-        if a.lo <= cand <= a.hi and _sign_at(alpha.dense, cand) == 0:
-            return cand
+    lc = abs(alpha.dense[-1])
+    a = alpha.refined(QQ(1, lc))
+    cand = QQ(math.ceil(a.lo * lc), lc)
+    if cand <= a.hi and _sign_at(alpha.dense, cand) == 0:
+        return cand
     return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return sorted(set(out))
 
 
 # -- Sturm counting over a simple extension ----------------------------------
@@ -416,7 +406,7 @@ def _divisors(n: int) -> list[int]:
 
 def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebraic) -> int:
     """Number of distinct real roots of squarefree p in (Q[a]/(m))[main] at a = alpha."""
-    p = ext_monic(p, main, ctx)
+    p = ext_monic(p, ctx)
     if p.is_zero() or p.degree(main) == 0:
         return 0
     seq = [p, ctx.reduce(p.derivative(main))]
@@ -587,7 +577,7 @@ def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealA
         sf = SparsePoly.constant(1, R.vars)
         for f, _ in factors:
             sf = ctx.reduce(sf * f)
-        g = ext_gcd_univar(sf, c1, "x1", ctx)
+        g = ext_gcd_multivar(sf, c1, ctx)
         if g.degree("x1") > 0:
             raise ShearError("fiber degeneracy at a resultant root")
     elif not c1.is_constant():

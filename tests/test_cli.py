@@ -3,10 +3,8 @@
 import json
 
 from jelonek.cli import main
-from jelonek.parsing import ParseError, parse_polynomial
+from jelonek.parsing import parse_polynomial
 from jelonek.poly import SparsePoly
-
-import pytest
 
 INTRO = ["1 + 2*x1*x2 - x1^2*x2^3", "5 + 12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5"]
 

@@ -5,19 +5,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelonek.poly import PolyError, SparsePoly, gcd_multivar
+from jelonek.poly import PolyError, SparsePoly, gcd_multivar, squarefree_decomposition
 from jelonek.extension import (
     ExtContext,
     ZeroDivisor,
     divmod_univar,
+    ext_exact_div,
     ext_gcd_multivar,
+    ext_monic,
     ext_squarefree_decomposition,
     gcd_mod_minpoly,
     with_dynamic_splitting,
 )
+from jelonek.realroots import count_real_solutions_param, isolate_real_roots
 from strategies import polys_in
 
 a = SparsePoly.variable("a")
+x1 = SparsePoly.variable("x1")
+x2 = SparsePoly.variable("x2")
+w = SparsePoly.variable("w")
 y1 = SparsePoly.variable("y1")
 y2 = SparsePoly.variable("y2")
 z1 = SparsePoly.variable("z1")
@@ -124,9 +130,7 @@ def test_ext_gcd_multivar_bivariate():
     q = ctx.reduce(common * (y2 + 2))
     g = ext_gcd_multivar(p, q, ctx)
     # g is associate to common over Q(a): their difference after monic scaling vanishes
-    from jelonek.extension import _ext_normal
-
-    assert ctx.reduce(g - _ext_normal(common, ctx)).is_zero()
+    assert ctx.reduce(g - ext_monic(common, ctx)).is_zero()
 
 
 @pytest.mark.parametrize("modulus, p, q, expected", [
@@ -152,13 +156,29 @@ def test_ext_gcd_multivar_bivariate():
     # p is zero on the factor a, where the gcd is q
     (a ** 2 - a, a * z1 * (z1 - a), z1 * (y2 + 1),
      [("a", "z1*y2 + z1"), ("a - 1", "z1")]),
+    # univariate pairs whose remainder sequence ends in a constant that
+    # vanishes on one factor of the modulus
+    ((a - 1) * (a - 2), -x1 + 2 * a - 4, 2 * x1 ** 2 - 2 * x1,
+     [("a - 1", "1"), ("a - 2", "x1")]),
+    ((a - 1) * (a - 2), x1 + 2, 2 * x1 ** 2 * a - 3 * x1 ** 2 + x1 * a - 2 * x1 + 2,
+     [("a - 1", "x1 + 2"), ("a - 2", "1")]),
+    ((a - 1) * (a - 2), -x1 ** 2 + 1, x1 ** 2 - 2 * x1 + 2 * a - 5,
+     [("a - 1", "x1 + 1"), ("a - 2", "1")]),
+    # leading coefficients that vanish on one factor each; the terms come
+    # lowest degree first, so the content check does not meet them
+    ((a - 1) * (a - 2), -3 * x1 + 3 + 4 * (a - 1) * x1 ** 2, x1 + 1 + 2 * (a - 2) * x1 ** 2,
+     [("a - 1", "x1 - 1"), ("a - 2", "1")]),
 ], ids=["linear", "linear-shared-y", "sqrt3", "sqrt3-coprime", "split", "reducible-no-split",
-        "split-in-content", "split-disjoint-coefficients", "operand-vanishes-on-a-factor"])
+        "split-in-content", "split-disjoint-coefficients", "operand-vanishes-on-a-factor",
+        "constant-remainder-zero-on-a-1", "constant-remainder-zero-on-a-2",
+        "constant-remainder-after-two-steps", "leading-coefficients-zero-divisors"])
 def test_ext_gcd_multivar_unshared_variables(modulus, p, q, expected):
-    """Operands with variables only one of them has, as in the shared-component
-    check of the Fulton recursion.  The outputs were recorded before the
-    common-variable reduction was added, except the last, which used to
-    come out as z1 with no split."""
+    """Pinned gcds over a modulus, most with operands that have variables
+    only one of them has, as in the shared-component check of the Fulton
+    recursion.  The first eight outputs were recorded before the
+    common-variable reduction was added; "operand-vanishes-on-a-factor" used
+    to come out as z1 with no split.  The univariate rows below it check
+    splits at zero divisors met inside the remainder sequence."""
     out = with_dynamic_splitting(modulus, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
     assert [(str(f), str(g)) for f, g in out] == expected
 
@@ -187,3 +207,77 @@ def test_ext_gcd_multivar_matches_rational_gcd_at_each_root(g, u0, u1, v, roots)
         for r in roots:
             if f.eval_rational({"a": r}).is_zero():
                 assert h.eval_rational({"a": r}).normalized() == gcd_multivar(*at[r])
+
+
+def _modulus(roots):
+    m = SparsePoly.constant(1)
+    for r in roots:
+        m = m * (a - SparsePoly.constant(r))
+    return m
+
+
+def _normalized_decomposition(dec):
+    return sorted((str(f.normalized()), k) for f, k in dec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polys_in(["x1", "a"]), polys_in(["x1", "a"]), polys_in(["x1", "a"]), st.integers(1, 2),
+       st.lists(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(5, 2)]),
+                min_size=2, max_size=2, unique=True))
+def test_ext_squarefree_decomposition_matches_rational_at_each_root(g0, u1, v, k, roots):
+    """Under m = (a - r1)(a - r2), each branch of the decomposition of p,
+    taken at each root r of the branch, is the rational decomposition of p
+    at a = r.  At r1, p = g0 * v^(k+1) gains a multiplicity."""
+    p = v ** k * (g0 * v + (a - SparsePoly.constant(roots[0])) * u1)
+    if any(p.eval_rational({"a": r}).is_zero() for r in roots):
+        return
+    out = with_dynamic_splitting(_modulus(roots), "a",
+                                 lambda ctx: ext_squarefree_decomposition(p, "x1", ctx))
+    for f, dec in out:
+        for r in roots:
+            if f.eval_rational({"a": r}).is_zero():
+                at_r = [(g.eval_rational({"a": r}), m) for g, m in dec]
+                assert (_normalized_decomposition(at_r)
+                        == _normalized_decomposition(squarefree_decomposition(p.eval_rational({"a": r}), "x1")))
+
+
+# a cubic and a linear factor that share the root x1 = -1 when a = 1 and
+# x1 = 0 when a = 2; the squarefree decomposition differs per branch
+A = x1 ** 3 - x1 ** 2 * a + x1 * a + a ** 2 - 2 * x1 - 4 * a + 4
+H = -x1 + a - 2
+
+
+def test_ext_squarefree_decomposition_splits_reducible_modulus():
+    out = with_dynamic_splitting(a ** 2 - 3 * a + 2, "a",
+                                 lambda ctx: ext_squarefree_decomposition(A * H, "x1", ctx))
+    assert [(str(f), [(str(g), m) for g, m in dec]) for f, dec in out] == [
+        ("a - 1", [("x1^2 - 1", 2)]),
+        ("a - 2", [("x1 - 2", 1), ("x1", 3)]),
+    ]
+
+
+@pytest.mark.parametrize("minpoly", [w ** 2 - 2, (w ** 2 - 2) * (w ** 2 - 3)], ids=["minimal", "reducible"])
+def test_count_real_solutions_param_at_sqrt2(minpoly):
+    # at w = sqrt2, a = w^2 - 1 = 1 and A*H = -(x1^2 - 1)^2
+    sqrt2 = [r for r, _ in isolate_real_roots(minpoly, "w") if 1 < r.to_float() < 3 / 2][0]
+    AH = (A * H).subs_poly("a", w ** 2 - 1)
+    assert count_real_solutions_param(x2, x2 ** 2 + AH, "w", sqrt2) == (2, 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([a ** 2 - 2, a ** 3 - a - 1]),
+       polys_in(["x1", "y1", "a"]), polys_in(["x1", "y1", "a"]))
+def test_ext_exact_div(minpoly, q, h):
+    ctx = ExtContext(minpoly)
+    q = ctx.reduce(q)
+    if not q.vars_present() - {"a"}:
+        return  # a unit of Q(a) divides everything
+    p = ctx.reduce(q * h)
+    assert ext_exact_div(p, q, ctx) == ctx.reduce(h)
+    with pytest.raises(PolyError):
+        ext_exact_div(p + 1, q, ctx)
+
+
+def test_ext_exact_div_zero_divisor_leading_coefficient():
+    with pytest.raises(ZeroDivisor):
+        ext_exact_div(x1 ** 2, (a - 1) * x1 + 1, ExtContext(a ** 2 - 1))

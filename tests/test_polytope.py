@@ -1,12 +1,9 @@
 """Geometry tests: hulls, Minkowski sums, classification, toric bases."""
 
 import random
-from fractions import Fraction as F
-
-import pytest
 
 from jelonek.parsing import parse_polynomial as P
-from jelonek.poly import PolyError, SparsePoly
+from jelonek.poly import SparsePoly
 from jelonek.polytope import (
     LatticePolygon,
     apply_transform,

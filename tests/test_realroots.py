@@ -182,6 +182,10 @@ def test_rational_roots():
     assert rational_roots(p) == [F(-5), F(2, 3)]
 
 
+def test_rational_roots_with_a_large_leading_coefficient():
+    assert rational_roots((10 ** 13 * x1 - 3) * (x1 ** 2 - 2)) == [F(3, 10 ** 13)]
+
+
 def test_compare_and_between():
     roots = [r for r, _ in isolate_real_roots((x1 ** 2 - 2) * (x1 ** 2 - 3))]
     assert [sign_at(x1, r) for r in roots] == [-1, -1, 1, 1]
