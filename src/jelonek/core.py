@@ -10,26 +10,26 @@ and everything is deduplicated and translated back.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
 from .extension import ExtContext, with_dynamic_splitting
 from .multiplicity import (
-    CurveComponent,
+    Component,
     EdgeSystem,
-    classify_defining,
     discriminant_curve,
     emptiness_test,
     fulton_condition_polynomials,
+    jacobian_det,
     ms_fulton,
     ms_resultant,
     norm_form,
+    _dedup_components,
     _rename_z1_to_a,
     _split_factors,
 )
 from .poly import (
-    DEFAULT_VARS,
     PolyError,
     QQ,
     SparsePoly,
@@ -54,7 +54,6 @@ from .polytope import (
 )
 from .realroots import (
     SHEAR_CANDIDATES,
-    RealAlgebraic,
     ShearError,
     compare,
     isolate_real_roots,
@@ -84,18 +83,6 @@ class Provenance:
 
 
 @dataclass
-class Component:
-    kind: str  # point | vertical-line | horizontal-line | implicit-curve | parametric-curve
-    defining: SparsePoly | None
-    provenance: list[Provenance]
-    realness: str
-    minpoly: SparsePoly | None = None
-    rho: RealAlgebraic | None = None
-    param: tuple[SparsePoly, SparsePoly] | None = None
-    implicit: SparsePoly | None = None  # attached by the CLI after the pipeline
-
-
-@dataclass
 class JelonekSet:
     components: list[Component]
     translation: tuple[int, int]
@@ -108,10 +95,6 @@ class NotDominantError(ValueError):
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-
-
-def jacobian_det(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
-    return f1.derivative("x1") * f2.derivative("x2") - f1.derivative("x2") * f2.derivative("x1")
 
 
 def check_dominant(f1: SparsePoly, f2: SparsePoly) -> tuple[bool, str]:
@@ -253,11 +236,10 @@ def semi_origin_components(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, fld
     if o1 and o2:
         line = _linear_image(P1, P2)
         if line is not None:
-            out.append(Component(kind=classify_defining(line), defining=line,
-                                 provenance=[prov], realness=_semi_realness(fld)))
+            out.append(Component(defining=line, provenance=[prov], realness=_semi_realness(fld)))
         else:
-            out.append(Component(kind="parametric-curve", defining=None, param=(P1, P2),
-                                 provenance=[prov], realness=_semi_realness(fld)))
+            out.append(Component(defining=None, param=(P1, P2), provenance=[prov],
+                                 realness=_semi_realness(fld)))
         return out
     if not o1:
         # roots of P1 give horizontal lines y2 = P2(tau)
@@ -285,29 +267,22 @@ def _line_family(P: SparsePoly, Q: SparsePoly, target_var: str, fld: str,
         if R.degree(target_var) < 1:
             return out
         defining = squarefree_part_multivar(R)
-        out.append(Component(kind=classify_defining(defining), defining=defining,
-                             provenance=[prov], realness="not-applicable"))
+        out.append(Component(defining=defining, provenance=[prov], realness="not-applicable"))
         return out
     # real field: one line per nonzero real root, exact coefficients
+    # (P(0) != 0: _restricted_coefficients rejects a zero constant term)
     for idx, (root, _) in enumerate(isolate_real_roots(P, "t")):
-        if root.cmp_fraction(QQ(0)) == 0:
-            continue
+        minpoly = None
         if root.is_rational():
             val = Q.eval_rational({"t": root.as_fraction()}).constant_value()
             defining = (yv - SparsePoly.constant(val, vars_)).normalized()
-            out.append(Component(kind=classify_defining(defining), defining=defining,
-                                 provenance=[replace(prov, rho_index=idx)],
-                                 realness="confirmed-nonempty", rho=root))
         else:
             minpoly = root.minpoly_sparse("a", vars_)
-            a = SparsePoly.variable("a", vars_)
-            Qa = Q.subs_poly("t", a)
-            ctx = ExtContext(minpoly, "a")
-            defining = ctx.reduce(yv - Qa)
-            out.append(Component(kind="horizontal-line" if target_var == "y2" else "vertical-line",
-                                 defining=defining, minpoly=minpoly,
-                                 provenance=[replace(prov, rho_index=idx)],
-                                 realness="confirmed-nonempty", rho=root))
+            Qa = Q.subs_poly("t", SparsePoly.variable("a", vars_))
+            defining = ExtContext(minpoly, "a").reduce(yv - Qa)
+        out.append(Component(defining=defining, minpoly=minpoly,
+                             provenance=[replace(prov, rho_index=idx)],
+                             realness="confirmed-nonempty", rho=root))
     return out
 
 
@@ -338,27 +313,18 @@ def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticeP
     return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge, skip=skip)
 
 
-def _pertinent_components(sys: EdgeSystem, fld: str, method: str) -> list[CurveComponent]:
-    if sys.skip:
-        return []
-    if method == "fulton":
-        return _ms_fulton_all(sys, fld)
-    return ms_resultant(sys, fld)
-
-
-def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
+def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
     """Fulton-based multiplicity sets for all boundary roots.
 
     Real field: per real root.  Complex field: conditions are gathered over
     every factor of the squarefree part of g and pushed down to Q by norm
     forms, to compare against the resultant route.
     """
-    out: list[CurveComponent] = []
     if fld == FIELD_REAL:
+        # g(0) != 0: edge_transform divides the power of z1 out of g
+        out: list[Component] = []
         for factor, _ in squarefree_decomposition(sys.g, "z1"):
             for root, _m in isolate_real_roots(factor, "z1"):
-                if root.cmp_fraction(QQ(0)) == 0:
-                    continue
                 out.extend(ms_fulton(sys, root))
         return out
     # complex: dynamic splitting over the full squarefree part
@@ -371,18 +337,9 @@ def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
     G1 = sys.g1.subs_poly("z1", z1 + a)
     G2 = sys.g2.subs_poly("z1", z1 + a)
     results = with_dynamic_splitting(mp, "a", lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
-    collected: list[SparsePoly] = []
-    for m_factor, (_, conds) in results:
-        for c in conds:
-            collected.append(norm_form(c.normalized(), m_factor))
-    seen = set()
-    for c in collected:
-        for f in _split_factors(c):
-            if str(f) in seen:
-                continue
-            seen.add(str(f))
-            out.append(CurveComponent(defining=f, kind=classify_defining(f), realness="not-applicable"))
-    return out
+    norms = [norm_form(c.normalized(), m_factor) for m_factor, (_, conds) in results for c in conds]
+    return _dedup_components([Component(defining=f, realness="not-applicable")
+                              for n in norms for f in _split_factors(n)])
 
 
 # -- orchestration ---------------------------------------------------------------
@@ -406,7 +363,7 @@ def sparse_jelonek_2(f1: SparsePoly, f2: SparsePoly, fld: str = FIELD_COMPLEX,
             components.extend(semi_origin_components(t1, t2, edge, fld, options.method))
     pertinent = [e for e in records if e.pertinent and e.infinity]
     mv_skipped = False
-    pending: list[tuple[EdgeSystem, CurveComponent]] = []
+    pending: list[tuple[EdgeSystem, Component]] = []
     if pertinent:
         if options.mv_optimization and test_number_of_roots(t1, t2, options.seed) is True:
             mv_skipped = True
@@ -415,9 +372,9 @@ def sparse_jelonek_2(f1: SparsePoly, f2: SparsePoly, fld: str = FIELD_COMPLEX,
                 sys = edge_transform(t1, t2, edge, A)
                 prov = Provenance(edge_index=edge.index, endpoints=edge.endpoints,
                                   flags=edge.flags(), source="pertinent", method=options.method)
-                for cc in _pertinent_components(sys, fld, options.method):
-                    comp = Component(kind=cc.kind, defining=cc.defining, provenance=[prov],
-                                     realness=cc.realness, minpoly=cc.minpoly, rho=cc.rho)
+                route = _ms_fulton_all if options.method == "fulton" else ms_resultant
+                for comp in route(sys, fld):
+                    comp.provenance.append(prov)
                     components.append(comp)
                     if fld == FIELD_REAL:
                         pending.append((sys, comp))
@@ -451,9 +408,7 @@ def _run_emptiness_phase(f1, f2, components: list[Component],
     for sys, comp in pending:
         mine = _component_norm(comp)
         others = [n for c, n in norms if c is not comp and n is not None and n != mine]
-        cc = CurveComponent(defining=comp.defining, kind=comp.kind, realness=comp.realness,
-                            minpoly=comp.minpoly, rho=comp.rho)
-        comp.realness = emptiness_test(cc, sys, f1, f2, others, disc_supplier, seed)
+        comp.realness = emptiness_test(comp, sys, f1, f2, others, disc_supplier, seed)
 
 
 def _component_norm(c: Component) -> SparsePoly | None:
@@ -483,41 +438,24 @@ def _merge_components(components: list[Component]) -> list[Component]:
 
 
 def _same_component(a: Component, b: Component) -> bool:
-    if (a.param is None) != (b.param is None):
-        # a parametric line may coincide with an explicit line
-        pa = a.defining if a.defining is not None else None
-        pb = b.defining if b.defining is not None else None
-        if pa is None or pb is None:
-            return False
-        return pa.normalized() == pb.normalized() and _same_extension(a, b)
-    if a.param is not None and b.param is not None:
-        return a.param[0] == b.param[0] and a.param[1] == b.param[1]
-    if a.defining is None or b.defining is None:
-        return False
+    if a.param is not None or b.param is not None:
+        return a.param == b.param
     if a.defining.normalized() != b.defining.normalized():
         return False
-    return _same_extension(a, b)
-
-
-def _same_extension(a: Component, b: Component) -> bool:
-    if (a.minpoly is None) != (b.minpoly is None):
-        return False
-    if a.minpoly is not None:
-        if a.minpoly.normalized() != b.minpoly.normalized():
-            return False
-        if a.rho is not None and b.rho is not None and compare(a.rho, b.rho) != 0:
-            return False
-    return True
+    if a.minpoly is None or b.minpoly is None:
+        return a.minpoly is b.minpoly
+    return (a.minpoly.normalized() == b.minpoly.normalized()
+            and (a.rho is None or b.rho is None or compare(a.rho, b.rho) == 0))
 
 
 def _back_translate(c: Component, shift: tuple[int, int]) -> Component:
     a1, a2 = shift
     if a1 == 0 and a2 == 0:
         return c
-    y1 = SparsePoly.variable("y1", DEFAULT_UNIVERSE_OF(c))
-    y2 = SparsePoly.variable("y2", DEFAULT_UNIVERSE_OF(c))
     defining = c.defining
     if defining is not None:
+        y1 = SparsePoly.variable("y1", defining.vars)
+        y2 = SparsePoly.variable("y2", defining.vars)
         defining = defining.subs_poly("y1", y1 + SparsePoly.constant(a1, defining.vars))
         defining = defining.subs_poly("y2", y2 + SparsePoly.constant(a2, defining.vars))
         defining = defining.normalized() if c.minpoly is None else defining
@@ -526,14 +464,6 @@ def _back_translate(c: Component, shift: tuple[int, int]) -> Component:
         P, Q = param
         param = (P - SparsePoly.constant(a1, P.vars), Q - SparsePoly.constant(a2, Q.vars))
     return replace(c, defining=defining, param=param)
-
-
-def DEFAULT_UNIVERSE_OF(c: Component):
-    if c.defining is not None:
-        return c.defining.vars
-    if c.param is not None:
-        return c.param[0].vars
-    return DEFAULT_VARS
 
 
 # -- baseline, degree bound, implicitization ------------------------------------

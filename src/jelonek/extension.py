@@ -339,17 +339,3 @@ def with_dynamic_splitting(minpoly: SparsePoly, var: str,
             pending.extend(split_minpoly(m, zd.factor))
     out.sort(key=lambda fr: str(fr[0]))
     return out
-
-
-def gcd_mod_minpoly(p: SparsePoly, q: SparsePoly, minpoly: SparsePoly, var: str = "a") -> list[tuple[SparsePoly, SparsePoly]]:
-    """Gcd of p, q over Q[a]/(minpoly), split per modulus factor.
-
-    Returns [(factor, gcd), ...]; with squarefree reducible moduli the
-    result lists one gcd per factor class discovered by zero-divisor
-    encounters.
-    """
-    if minpoly.degree(var) < 1:
-        raise PolyError("minimal polynomial must be nonconstant")
-    if gcd_multivar(minpoly, minpoly.derivative(var)).degree(var) > 0:
-        raise PolyError("minimal polynomial must be squarefree")
-    return with_dynamic_splitting(minpoly, var, lambda ctx: ext_gcd_multivar(p, q, ctx))

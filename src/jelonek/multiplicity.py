@@ -11,7 +11,7 @@ by numerics.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
@@ -89,13 +89,31 @@ class EdgeSystem:
         return R22.eval_rational({"z2": 0})
 
 
-@dataclass(frozen=True)
-class CurveComponent:
-    defining: SparsePoly  # in (y1, y2), possibly with the extension variable
-    kind: str  # vertical-line | horizontal-line | general-curve | empty
+@dataclass
+class Component:
+    """One piece of the Jelonek set, from the edge routine that finds it to
+    the output.
+
+    ``kind`` is read off ``defining``: vertical-line, horizontal-line or
+    general-curve, and parametric-curve when the piece is the image of
+    ``param`` instead.
+    """
+
+    defining: SparsePoly | None  # in (y1, y2), possibly with the extension variable
     realness: str  # confirmed-nonempty | confirmed-empty | undetermined | not-applicable
+    provenance: list = field(default_factory=list)  # core.Provenance, one per edge
     minpoly: SparsePoly | None = None  # minimal polynomial of the extension variable
     rho: RealAlgebraic | None = None
+    param: tuple[SparsePoly, SparsePoly] | None = None
+    implicit: SparsePoly | None = None  # attached by the CLI after the pipeline
+
+    @property
+    def kind(self) -> str:
+        return "parametric-curve" if self.defining is None else classify_defining(self.defining)
+
+
+def jacobian_det(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
+    return f1.derivative("x1") * f2.derivative("x2") - f1.derivative("x2") * f2.derivative("x1")
 
 
 def classify_defining(p: SparsePoly) -> str:
@@ -126,7 +144,7 @@ def _split_factors(J: SparsePoly) -> list[SparsePoly]:
     return out
 
 
-def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
+def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
     """The per-edge multiplicity set as curve components.
 
     Complex field: one batch of components over Q via the Poisson-style
@@ -149,10 +167,9 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
         J = gcd_multivar(J2, H)
         if J.is_constant():
             return []
-        return [CurveComponent(defining=f, kind=classify_defining(f), realness="not-applicable")
-                for f in _split_factors(J)]
+        return [Component(defining=f, realness="not-applicable") for f in _split_factors(J)]
     # real branch: group real roots of g by squarefree factor
-    components: list[CurveComponent] = []
+    components: list[Component] = []
     for factor, _ in squarefree_decomposition(sys.g, "z1"):
         real_roots = [r for r, _ in isolate_real_roots(factor, "z1")]
         if not real_roots:
@@ -168,9 +185,8 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
             if J.is_constant():
                 continue
             for f in _split_factors(J):
-                components.append(CurveComponent(
-                    defining=f, kind=classify_defining(f), realness="undetermined",
-                    rho=RealAlgebraic.from_rational(rho)))
+                components.append(Component(defining=f, realness="undetermined",
+                                            rho=RealAlgebraic.from_rational(rho)))
         if irrational:
             mp = factor
             # remove rational linear factors so the modulus matches the
@@ -186,9 +202,8 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[CurveComponent]:
                     if _root_in(dense_int(m_factor, "a"), r.lo, r.hi):
                         if J.degree("y1") <= 0 and J.degree("y2") <= 0:
                             continue
-                        components.append(CurveComponent(
-                            defining=J, kind=classify_defining(J),
-                            realness="undetermined", minpoly=m_factor, rho=r))
+                        components.append(Component(defining=J, realness="undetermined",
+                                                    minpoly=m_factor, rho=r))
     return components
 
 
@@ -370,7 +385,7 @@ def _at_rho(modulus: SparsePoly | None, rho: RealAlgebraic, compute):
             modulus = _select_modulus_factor(zd.factor, modulus, "a", rho)
 
 
-def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[CurveComponent]:
+def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     """Multiplicity-set components for one boundary root via the symbolic
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
     if sys.skip:
@@ -380,16 +395,15 @@ def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[CurveComponent]:
     out = []
     for c in conds:
         if modulus is None:
-            out.extend(CurveComponent(defining=f, kind=classify_defining(f),
-                                      realness="undetermined", rho=rho)
+            out.extend(Component(defining=f, realness="undetermined", rho=rho)
                        for f in _split_factors(c))
         else:
-            out.append(CurveComponent(defining=c.normalized(), kind=classify_defining(c),
-                                      realness="undetermined", minpoly=modulus, rho=rho))
+            out.append(Component(defining=c.normalized(), realness="undetermined",
+                                 minpoly=modulus, rho=rho))
     return _dedup_components(out)
 
 
-def _dedup_components(comps: list[CurveComponent]) -> list[CurveComponent]:
+def _dedup_components(comps: list[Component]) -> list[Component]:
     seen = set()
     out = []
     for c in comps:
@@ -412,7 +426,7 @@ def discriminant_curve(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
     """
     y1 = SparsePoly.variable("y1", f1.vars)
     y2 = SparsePoly.variable("y2", f1.vars)
-    jac = f1.derivative("x1") * f2.derivative("x2") - f1.derivative("x2") * f2.derivative("x1")
+    jac = jacobian_det(f1, f2)
     if jac.is_zero():
         raise PolyError("map is not dominant")
     if jac.is_constant():
@@ -569,7 +583,7 @@ def _eval_possibly_ext(p: SparsePoly, pt: tuple[Fraction, Fraction], rho: RealAl
     return sign_at(v, rho, "a") != 0
 
 
-def _odd_jump_shortcut(comp: CurveComponent, sys: EdgeSystem, rng: random.Random) -> str | None:
+def _odd_jump_shortcut(comp: Component, sys: EdgeSystem, rng: random.Random) -> str | None:
     """Odd multiplicity difference between a point on the component and a
     certified-generic reference point forces a real escape."""
     J = comp.defining.normalized()
@@ -610,10 +624,12 @@ def _odd_jump_shortcut(comp: CurveComponent, sys: EdgeSystem, rng: random.Random
     return None
 
 
-def emptiness_test(comp: CurveComponent, sys: EdgeSystem, f1: SparsePoly, f2: SparsePoly,
-                   others: list[SparsePoly], disc_supplier, seed: int = 0) -> str:
+def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparsePoly,
+                   avoid: list[SparsePoly], disc_supplier, seed: int = 0) -> str:
     """Decide whether a real multiplicity-set component meets the Jelonek set.
 
+    ``avoid`` holds the rational norms of the other components; the caller
+    leaves out every norm equal to the component's own.
     ``disc_supplier`` is a zero-argument callable returning the discriminant
     curve (or raising); it is only invoked when the full scan is required.
     Returns confirmed-nonempty / confirmed-empty / undetermined; failures
@@ -625,7 +641,6 @@ def emptiness_test(comp: CurveComponent, sys: EdgeSystem, f1: SparsePoly, f2: Sp
     J = comp.defining.normalized()
     if comp.rho is None:
         return "undetermined"
-    avoid = [o for o in others if o.normalized() != J]
 
     try:
         verdict = _odd_jump_shortcut(comp, sys, rng)

@@ -156,9 +156,6 @@ class SparsePoly:
             return -1
         return max(sum(exps) for exps in self.terms)
 
-    def support(self) -> list[tuple[int, ...]]:
-        return sorted(self.terms, key=grlex_key)
-
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         if self.is_zero():
             raise PolyError("zero polynomial has no leading term")
@@ -279,11 +276,6 @@ class SparsePoly:
         if self.is_zero():
             raise PolyError("zero polynomial")
         return self.coeff_of(var, self.degree(var))
-
-    def trailing_coeff_wrt(self, var: str) -> "SparsePoly":
-        if self.is_zero():
-            raise PolyError("zero polynomial")
-        return self.coeff_of(var, self.min_degree(var))
 
     # -- substitution -------------------------------------------------------
 
@@ -516,15 +508,6 @@ def exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
             e[i] += key >> s & mask
         terms[tuple(e)] = t * scale
     return SparsePoly(terms, p.vars)
-
-
-def divides(q: SparsePoly, p: SparsePoly) -> bool:
-    """True iff q divides p exactly (q nonzero)."""
-    try:
-        exact_div(p, q)
-        return True
-    except PolyError:
-        return False
 
 
 def pseudo_division(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly]:

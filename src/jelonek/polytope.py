@@ -85,9 +85,6 @@ class LatticePolygon:
             return [(v[0], v[1])]
         return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
-    def translate(self, vec: Point) -> "LatticePolygon":
-        return LatticePolygon(tuple((x + vec[0], y + vec[1]) for x, y in self.vertices))
-
     def face_in_direction(self, n: Point) -> tuple[Point, ...]:
         """Face minimizing <n, .>: a vertex or the two endpoints of an edge."""
         vals = [n[0] * x + n[1] * y for x, y in self.vertices]

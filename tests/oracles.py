@@ -29,6 +29,15 @@ from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roo
 ESCAPE_NORM = 1e6
 
 
+def divides(q: SparsePoly, p: SparsePoly) -> bool:
+    """True iff q divides p exactly (q nonzero)."""
+    try:
+        exact_div(p, q)
+        return True
+    except PolyError:
+        return False
+
+
 def grlex_exact_div(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """Reference exact division: cancel the graded-lex leading term of the
     remainder until it vanishes, on ``SparsePoly`` arithmetic.

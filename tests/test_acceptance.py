@@ -13,10 +13,10 @@ from fractions import Fraction as F
 sys.path.insert(0, os.path.dirname(__file__))
 
 from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, rand_dominant_map
-from oracles import escape_oracle
+from oracles import divides, escape_oracle
 
 from jelonek.parsing import parse_polynomial as P
-from jelonek.poly import SparsePoly, divides, gcd_multivar, resultant, squarefree_part_multivar
+from jelonek.poly import SparsePoly, gcd_multivar, resultant, squarefree_part_multivar
 from jelonek.core import (
     FIELD_COMPLEX,
     FIELD_REAL,

@@ -32,8 +32,7 @@ def test_compute_json_roundtrip_and_determinism(capsys):
     assert doc["translation"] == [0, 0]
     assert doc["components"]
     for comp in doc["components"]:
-        assert comp["kind"] in ("point", "vertical-line", "horizontal-line",
-                                "general-curve", "implicit-curve", "parametric-curve")
+        assert comp["kind"] in ("vertical-line", "horizontal-line", "general-curve", "parametric-curve")
         if "defining" in comp:
             reparsed = parse_polynomial(comp["defining"], allowed=("y1", "y2", "a"))
             assert isinstance(reparsed, SparsePoly)

@@ -3,7 +3,8 @@
 The expected outputs in ``golden/cli.json`` were recorded once and are not
 regenerated by the suite: any change to them is a change of behaviour.
 The runs cover exact real verdicts over Q and over Q[a]/(m) on both
-multiplicity routes, back-translation of a shifted map, implicitization,
+multiplicity routes, the complex Fulton route, the merge of components
+from several edges, back-translation of a shifted map, implicitization,
 the baseline superset, the degree bound and the intersection multiplicity.
 """
 
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
+from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
 from jelonek.cli import main
 
 NONEMPTY_LINE = CURATED[1][1:3]
@@ -25,6 +26,11 @@ CASES = {
         ["compute", *IRRATIONAL_BOUNDARY, "--field", "real", "--method", "resultant", *EXACT],
     "irrational-boundary-real-fulton":
         ["compute", *IRRATIONAL_BOUNDARY, "--field", "real", "--method", "fulton", *EXACT],
+    # Fulton over C: dynamic splitting, norm forms and the factor dedup
+    "irrational-boundary-complex-fulton":
+        ["compute", *IRRATIONAL_BOUNDARY, "--method", "fulton", *EXACT],
+    # y1 - 1 from two edges merges; a parametric curve goes through the merge
+    "big-real-resultant": ["compute", BIG_F1, BIG_F2, "--field", "real", *EXACT],
     "nonempty-line-real": ["compute", *NONEMPTY_LINE, "--field", "real", *EXACT],
     "intro-implicit-baseline":
         ["compute", INTRO_F1, INTRO_F2, "--emit-implicit", "--with-baseline", *EXACT],

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from jelonek.parsing import parse_polynomial as P
-from jelonek.poly import PolyError, SparsePoly, divides, squarefree_part_multivar
+from jelonek.poly import PolyError, SparsePoly, squarefree_part_multivar
 from jelonek.core import (
     FIELD_COMPLEX,
     FIELD_REAL,
@@ -17,11 +17,14 @@ from jelonek.core import (
     generic_fiber_size,
     implicitize_param,
     jelonek_2_baseline,
+    edge_transform,
     preprocess_translate,
     semi_origin_components,
     sparse_jelonek_2,
 )
 from jelonek.polytope import minkowski_sum, newton_polygon
+from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
+from oracles import divides
 
 y1 = SparsePoly.variable("y1")
 y2 = SparsePoly.variable("y2")
@@ -123,6 +126,24 @@ def test_non_infinity_edges_are_axis_bound():
                 assert not e.pertinent
                 p, q = e.endpoints
                 assert p[0] == q[0] == 0 or p[1] == q[1] == 0
+
+
+def test_boundary_gcd_has_no_root_at_zero():
+    # edge_transform divides the power of z1 out of g, so no boundary root is
+    # 0 and the per-root loops need no zero check; the maps are the
+    # benchmark ladders' and the curated suite's
+    maps = [(INTRO_F1, INTRO_F2), (BIG_F1, BIG_F2), IRRATIONAL_BOUNDARY,
+            ("1 + x2^2*(x1-1)^2*(x1+2)*(x1+3)", CURATED[0][2])]
+    maps += [(f"1 + x2^{2 * k}*(x1-1)^2", f"1 + x1*x2^{2 * k} + x2^{4 * k}*(x1-1)^2") for k in (2, 3)]
+    maps += [(f1, f2) for _, f1, f2, _, _ in CURATED]
+    for s1, s2 in maps:
+        t1, t2, _ = preprocess_translate(P(s1), P(s2), 0)
+        A, records = minkowski_sum(newton_polygon(t1), newton_polygon(t2))
+        pertinent = [e for e in records if e.pertinent and e.infinity]
+        assert pertinent, (s1, s2)
+        for e in pertinent:
+            g = edge_transform(t1, t2, e, A).g
+            assert g.eval_rational({"z1": 0}).constant_value() != 0, (s1, s2, e.index)
 
 
 def test_intro_complex_components():

@@ -14,7 +14,6 @@ from jelonek.extension import (
     ext_gcd_multivar,
     ext_monic,
     ext_squarefree_decomposition,
-    gcd_mod_minpoly,
     with_dynamic_splitting,
 )
 from jelonek.realroots import count_real_solutions_param, isolate_real_roots
@@ -79,7 +78,7 @@ def test_gcd_mod_minpoly_rational_degenerate():
     # rational root branch agrees with the plain gcd
     p = (y1 - 2) * (y2 + 1)
     q = (y1 - 2) * (y1 + y2)
-    out = gcd_mod_minpoly(p, q, a - 5)
+    out = with_dynamic_splitting(a - 5, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
     assert len(out) == 1
     _, g = out[0]
     assert g == gcd_multivar(p, q) or gcd_multivar(g, gcd_multivar(p, q)).total_degree() == g.total_degree()
@@ -87,7 +86,7 @@ def test_gcd_mod_minpoly_rational_degenerate():
 
 def test_gcd_mod_minpoly_sqrt2():
     # gcd(y1 - a, y1^2 - 2) = y1 - a in Q(sqrt2)
-    out = gcd_mod_minpoly(y1 - a, y1 ** 2 - 2, a ** 2 - 2)
+    out = with_dynamic_splitting(a ** 2 - 2, "a", lambda ctx: ext_gcd_multivar(y1 - a, y1 ** 2 - 2, ctx))
     assert len(out) == 1
     _, g = out[0]
     assert g == (y1 - a).normalized() or g == y1 - a
@@ -97,17 +96,12 @@ def test_gcd_mod_minpoly_splits():
     # modulus (a^2-1): gcd differs per branch a=1 / a=-1
     p = y1 - a
     q = y1 - 1
-    out = gcd_mod_minpoly(p, q, a ** 2 - 1)
+    out = with_dynamic_splitting(a ** 2 - 1, "a", lambda ctx: ext_gcd_multivar(p, q, ctx))
     results = {str(f.normalized()): g for f, g in out}
     assert len(out) == 2
     got_nontrivial = [g for _, g in out if g.degree("y1") > 0]
     assert len(got_nontrivial) == 1
     assert got_nontrivial[0] == (y1 - 1).normalized()
-
-
-def test_gcd_minpoly_not_squarefree_rejected():
-    with pytest.raises(PolyError):
-        gcd_mod_minpoly(y1, y1, (a - 1) ** 2)
 
 
 def test_ext_squarefree_decomposition():
