@@ -34,7 +34,7 @@ from .core import (
     jelonek_2_baseline,
     sparse_jelonek_2,
 )
-from .multiplicity import FULTON_INFINITY, fulton_multiplicity
+from .multiplicity import fulton_multiplicity
 from .parsing import ParseError, parse_polynomial
 from .poly import PolyError, QQ, SparsePoly, from_dense, poly_to_str
 from .polytope import minkowski_sum, mixed_volume, newton_polygon, test_number_of_roots
@@ -295,7 +295,7 @@ def _dispatch(args) -> int:
         G = f2.subs_poly("x1", x1 + SparsePoly.constant(pt[0], f1.vars))
         G = G.subs_poly("x2", x2 + SparsePoly.constant(pt[1], f1.vars))
         mu = fulton_multiplicity(F, G, pair=("x1", "x2"))
-        text = "infinity" if mu == FULTON_INFINITY else str(int(mu))
+        text = str(mu)  # FULTON_INFINITY prints as "infinity"
         if args.json:
             print(json.dumps({"version": SCHEMA_VERSION, "multiplicity": text}))
         else:

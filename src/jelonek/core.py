@@ -18,7 +18,6 @@ from .extension import ExtContext, with_dynamic_splitting
 from .multiplicity import (
     Component,
     EdgeSystem,
-    discriminant_curve,
     emptiness_test,
     fulton_condition_polynomials,
     jacobian_det,
@@ -33,7 +32,6 @@ from .poly import (
     PolyError,
     QQ,
     SparsePoly,
-    exact_div,
     from_dense,
     gcd_multivar,
     resultant,
@@ -290,7 +288,11 @@ def _line_family(P: SparsePoly, Q: SparsePoly, target_var: str, fld: str,
 
 
 def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticePolygon) -> EdgeSystem:
-    """Toric transform of f - y along a pertinent edge, plus boundary data."""
+    """Toric transform of f - y along a pertinent edge, plus boundary data.
+
+    f1 and f2 have nonzero constant terms, as ``preprocess_translate`` leaves
+    them, and A is the Minkowski sum of their Newton polygons.
+    """
     if not edge.pertinent:
         raise PolyError("edge transform requires a pertinent edge")
     basis = compute_lattice_basis(edge, A)
@@ -305,12 +307,12 @@ def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticeP
         raise PolyError("pertinent edge slice depends on the target variables")
     if s1.is_zero() or s2.is_zero():
         raise PolyError("degenerate boundary slice")
+    # g(0) != 0.  The z1-exponent of a term is its first coordinate in the
+    # basis (v, w), shifted so that the least one is 0.  That coordinate is
+    # least over A at the anchor vertex of the edge, so over each summand at
+    # a vertex of its edge face, and the slice keeps that vertex's term.
     g = gcd_multivar(s1, s2)
-    m = g.min_degree("z1")
-    if m > 0:
-        g = exact_div(g, SparsePoly.monomial({"z1": m}, 1, g.vars))
-    skip = g.degree("z1") < 1
-    return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge, skip=skip)
+    return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge)
 
 
 def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
@@ -321,7 +323,7 @@ def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
     forms, to compare against the resultant route.
     """
     if fld == FIELD_REAL:
-        # g(0) != 0: edge_transform divides the power of z1 out of g
+        # g(0) != 0 (see edge_transform), so no boundary root is 0
         out: list[Component] = []
         for factor, _ in squarefree_decomposition(sys.g, "z1"):
             for root, _m in isolate_real_roots(factor, "z1"):
@@ -389,16 +391,6 @@ def sparse_jelonek_2(f1: SparsePoly, f2: SparsePoly, fld: str = FIELD_COMPLEX,
 def _run_emptiness_phase(f1, f2, components: list[Component],
                          pending: list[tuple[EdgeSystem, Component]], seed: int) -> None:
     """Two-phase contract: all components first, then decide realness."""
-    cache: dict[str, SparsePoly | None] = {}
-
-    def disc_supplier():
-        if "disc" not in cache:
-            try:
-                cache["disc"] = discriminant_curve(f1, f2)
-            except PolyError:
-                cache["disc"] = None
-        return cache["disc"]
-
     norms = []
     for c in components:
         try:
@@ -408,7 +400,7 @@ def _run_emptiness_phase(f1, f2, components: list[Component],
     for sys, comp in pending:
         mine = _component_norm(comp)
         others = [n for c, n in norms if c is not comp and n is not None and n != mine]
-        comp.realness = emptiness_test(comp, sys, f1, f2, others, disc_supplier, seed)
+        comp.realness = emptiness_test(comp, sys, f1, f2, others, seed)
 
 
 def _component_norm(c: Component) -> SparsePoly | None:

@@ -48,7 +48,8 @@ from .realroots import (
     _select_modulus_factor,
 )
 
-FULTON_INFINITY = float("inf")
+# the intersection multiplicity of curves that share a component through the point
+FULTON_INFINITY = "infinity"
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,6 @@ class EdgeSystem:
     g: SparsePoly  # gcd of the z2 = 0 slices, in Z[z1]
     transform: object
     edge: object
-    skip: bool
 
     # The two eliminations and their content splits are computed once per
     # edge and shared by ms_resultant and every real component's shortcut.
@@ -152,7 +152,7 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
     g, with coefficients in the corresponding extension when needed;
     realness verdicts are left undetermined for the later emptiness phase.
     """
-    if sys.skip or sys.g.degree("z1") < 1:
+    if sys.g.degree("z1") < 1:
         return []
     if sys.R1.is_zero() or sys.R2.is_zero():
         raise PolyError("transformed system not zero-dimensional for generic y")
@@ -309,8 +309,8 @@ def _resultant_certifies_coprime(F: SparsePoly, G: SparsePoly, u: str, v: str) -
 def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: ExtContext | None = None):
     """Intersection multiplicity of the curves F = 0, G = 0 at the origin.
 
-    Returns a nonnegative integer, or infinity when F and G share a
-    component through the origin.  Coefficients may live in Q or in a
+    Returns a nonnegative integer, or ``FULTON_INFINITY`` when F and G share
+    a component through the origin.  Coefficients may live in Q or in a
     simple extension (supply ``ctx``).
     """
     return _fulton(F, G, pair, ctx)[0]
@@ -388,8 +388,6 @@ def _at_rho(modulus: SparsePoly | None, rho: RealAlgebraic, compute):
 def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     """Multiplicity-set components for one boundary root via the symbolic
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
-    if sys.skip:
-        return []
     G1, G2, modulus = _shift_to_rho(sys.g1, sys.g2, rho)
     modulus, (_, conds) = _at_rho(modulus, rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
     out = []
@@ -413,70 +411,6 @@ def _dedup_components(comps: list[Component]) -> list[Component]:
         seen.add(key)
         out.append(c)
     return out
-
-
-# -- discriminant -------------------------------------------------------------
-
-
-def discriminant_curve(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
-    """A nonzero polynomial vanishing on the discriminant (critical values).
-
-    Eliminates x1, x2 from {f1 - y1, f2 - y2, det Jac}; the result may carry
-    extra components, which is harmless for its role as an avoidance set.
-    """
-    y1 = SparsePoly.variable("y1", f1.vars)
-    y2 = SparsePoly.variable("y2", f1.vars)
-    jac = jacobian_det(f1, f2)
-    if jac.is_zero():
-        raise PolyError("map is not dominant")
-    if jac.is_constant():
-        return SparsePoly.constant(1, f1.vars)
-    polys = [f1 - y1, f2 - y2, jac]
-    collected: list[SparsePoly] = []
-
-    def reduce_poly(p: SparsePoly) -> SparsePoly | None:
-        # peel off target-only content (a valid factor of the projection)
-        # and drop multiplicities; the zero set is what matters here
-        if p.is_constant():
-            return None
-        if not (p.vars_present() - {"y1", "y2"}):
-            collected.append(p)
-            return None
-        if p.vars_present() & {"y1", "y2"}:
-            cont, prim = content_wrt(p, ["y1", "y2"])
-            if not cont.is_constant():
-                collected.append(cont)
-            p = prim
-        return squarefree_part_multivar(p)
-
-    polys = [q for q in (reduce_poly(p) for p in polys) if q is not None]
-    for var in ("x2", "x1"):
-        with_var = [p for p in polys if p.degree(var) > 0]
-        without = [p for p in polys if p.degree(var) <= 0]
-        if not with_var:
-            polys = without
-            continue
-        pivot = with_var[-1]
-        new = []
-        for p in with_var[:-1]:
-            r = resultant(p, pivot, var)
-            if r.is_zero():
-                g = gcd_multivar(p, pivot)
-                r = resultant(exact_div(p, g), pivot, var)
-                if r.is_zero():
-                    raise PolyError("discriminant elimination collapsed")
-            r = reduce_poly(r)
-            if r is not None:
-                new.append(r)
-        polys = new + without
-    D = SparsePoly.constant(1, f1.vars)
-    for p in polys + collected:
-        if p.vars_present() - {"y1", "y2"}:
-            raise PolyError("discriminant elimination left source variables")
-        D = D * p
-    if D.is_constant():
-        return SparsePoly.constant(1, D.vars)
-    return D.normalized()
 
 
 # -- real emptiness test --------------------------------------------------------
@@ -571,6 +505,52 @@ def _line_roots(p: SparsePoly, line: _ScanLine) -> list[RealAlgebraic] | None:
     return [r for r, _ in isolate_real_roots(restricted, line.free_var)]
 
 
+def discriminant_curve(f1: SparsePoly, f2: SparsePoly, line: _ScanLine) -> SparsePoly:
+    """The discriminant of one scan line: a polynomial in the line's free
+    target that vanishes at every critical value of the map on the line.
+
+    The line's equation L = f_fixed - level is the pivot of the elimination
+    of x2 and x1 from {f_free - y_free, det Jac, L}.  L splits into its
+    factor d in x1 alone (vertical lines over the scan line) and the rest
+    L2.  For a pivot Q, d eliminated in u = x1 and L2 in u = x2, with v the
+    other variable, B = Res_u(det Jac, Q) and A = Res_u(f_free - y_free, Q)
+    with its factor in v alone divided out; Q contributes Res_v(A, B).
+
+    Every critical point on the line is a common root of the specialized
+    f_free - y_free, det Jac and one Q, so its value is a root of their
+    resultant.  A resultant vanishes wherever its operands share a root or
+    both leading coefficients vanish, so B vanishes at the point's v.  A
+    vanishes for every y_free only at a v where roots of Q run off to
+    infinity; without that factor it still vanishes at every finite point
+    of Q = 0 with its value, and shares no factor with B, which is in v
+    alone.  So Res_v(A, B) is nonzero.  Extra roots are harmless for an
+    avoidance set.  B is zero when a curve of critical points lies over the
+    line; the result is then zero, and the scan skips the line.
+
+    A point of the two-target discriminant curve (the closure of the
+    critical values) on the line that this polynomial misses is a limit of
+    critical values whose critical points escape to infinity.  So it is a
+    point of the Jelonek set: on the component under test or on a curve
+    already in ``avoid``.
+    """
+    f_free, f_fixed = (f1, f2) if line.free_var == "y1" else (f2, f1)
+    jac = jacobian_det(f1, f2)
+    y = SparsePoly.variable(line.free_var, f1.vars)
+    d, L2 = content_wrt(f_fixed - SparsePoly.constant(line.level, f1.vars), ["x1"])
+    D = SparsePoly.constant(1, f1.vars)
+    for Q, var, other in ((d, "x1", "x2"), (L2, "x2", "x1")):
+        if Q.degree(var) < 1:
+            continue
+        B = resultant(jac, Q, var)
+        if B.is_zero():
+            return B
+        if B.is_constant():
+            continue
+        A = content_wrt(resultant(f_free - y, Q, var), [other])[1]
+        D = D * resultant(A, squarefree_part_multivar(B), other)
+    return D.normalized()
+
+
 def _eval_possibly_ext(p: SparsePoly, pt: tuple[Fraction, Fraction], rho: RealAlgebraic) -> bool:
     """True iff p(pt) is nonzero, with extension coefficients allowed."""
     v = p.eval_rational({"y1": pt[0], "y2": pt[1]})
@@ -618,20 +598,18 @@ def _odd_jump_shortcut(comp: Component, sys: EdgeSystem, rng: random.Random) -> 
         mu_q = _multiplicity_at_rho(sys, rho, q)
         if mu_p == FULTON_INFINITY or mu_q == FULTON_INFINITY:
             return None
-        if (int(mu_p) - int(mu_q)) % 2 == 1:
+        if (mu_p - mu_q) % 2 == 1:
             return "confirmed-nonempty"
         return None
     return None
 
 
 def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparsePoly,
-                   avoid: list[SparsePoly], disc_supplier, seed: int = 0) -> str:
+                   avoid: list[SparsePoly], seed: int = 0) -> str:
     """Decide whether a real multiplicity-set component meets the Jelonek set.
 
     ``avoid`` holds the rational norms of the other components; the caller
     leaves out every norm equal to the component's own.
-    ``disc_supplier`` is a zero-argument callable returning the discriminant
-    curve (or raising); it is only invoked when the full scan is required.
     Returns confirmed-nonempty / confirmed-empty / undetermined; failures
     always degrade to undetermined, never to a wrong verdict.
     """
@@ -651,10 +629,7 @@ def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparseP
 
     # full scan: point on an unbounded branch, clean neighbors, count and compare
     try:
-        disc = disc_supplier()
-        if disc is None or disc.is_zero():
-            return "undetermined"
-        return _scan_and_count(J, f1, f2, avoid, disc)
+        return _scan_and_count(J, f1, f2, avoid)
     except (PolyError, ZeroDivisor):
         return "undetermined"
 
@@ -670,12 +645,10 @@ def _strip_shared(p: SparsePoly, J: SparsePoly) -> SparsePoly:
     return out
 
 
-def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
-                    avoid: list[SparsePoly], disc: SparsePoly) -> str:
-    # the elimination-based discriminant may contain the component itself (as
-    # a spurious factor or genuinely); its shared part must not veto the scan
-    # points -- fiber regularity is certified pointwise by exact counting.
-    disc = _strip_shared(disc, J)
+def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly, avoid: list[SparsePoly]) -> str:
+    # another component's norm may contain the component itself; its shared
+    # part must not veto the scan points -- fiber regularity is certified
+    # pointwise by exact counting.
     avoid = [a for a in (_strip_shared(o, J) for o in avoid) if not a.is_constant()]
     bound = _critical_box_bound(J)
     for line in _scan_lines(J, bound):
@@ -684,7 +657,7 @@ def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
             continue
         obstacles: list[RealAlgebraic] = []
         degenerate = False
-        for p in avoid + [disc]:
+        for p in avoid:
             rr = _line_roots(p, line)
             if rr is None:
                 degenerate = True
@@ -692,8 +665,16 @@ def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly,
             obstacles.extend(rr)
         if degenerate:
             continue
+        disc = discriminant_curve(f1, f2, line)
+        if disc.is_zero():
+            continue
+        # a real critical point over a root of J shows in the count there
+        # (distinct and weighted counts differ), and a non-real one leaves
+        # the real count alone: only the other critical values veto
+        J_line = J.eval_rational({line.fixed_var: line.level})
+        obstacles.extend(_line_roots(_strip_shared(disc, J_line), line))
         for p_free in roots:
-            # p must avoid the other curves and the discriminant
+            # p must avoid the other curves and the critical values
             if any(compare(p_free, o) == 0 for o in obstacles):
                 continue
             verdict = _verdict_at_point(f1, f2, line, p_free, roots, obstacles)

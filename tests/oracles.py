@@ -13,9 +13,11 @@ from fractions import Fraction as F
 
 import mpmath as mp
 
+from jelonek.multiplicity import jacobian_det
 from jelonek.poly import (
     PolyError,
     SparsePoly,
+    content_wrt,
     dense_int,
     exact_div,
     from_dense,
@@ -23,6 +25,7 @@ from jelonek.poly import (
     resultant,
     resultant_and_penultimate,
     squarefree_decomposition,
+    squarefree_part_multivar,
 )
 from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
 
@@ -103,6 +106,70 @@ def euclid_gcd(a: list[F], b: list[F]) -> list[F]:
                 a.pop()
         a, b = b, a
     return [c / a[-1] for c in a] if a else a
+
+
+def discriminant_curve_oracle(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
+    """Reference discriminant curve: a nonzero polynomial in (y1, y2) vanishing
+    on the critical values of the map, with both targets symbolic.
+
+    Eliminates x2, then x1, from {f1 - y1, f2 - y2, det Jac}, dividing out a
+    gcd where an elimination collapses.  The result may carry extra
+    components: the intro map's curve holds the lines y1 = 1 and y2 = 5,
+    although its only critical value is (1, 5).
+    """
+    y1 = SparsePoly.variable("y1", f1.vars)
+    y2 = SparsePoly.variable("y2", f1.vars)
+    jac = jacobian_det(f1, f2)
+    if jac.is_zero():
+        raise PolyError("map is not dominant")
+    if jac.is_constant():
+        return SparsePoly.constant(1, f1.vars)
+    polys = [f1 - y1, f2 - y2, jac]
+    collected: list[SparsePoly] = []
+
+    def reduce_poly(p: SparsePoly) -> SparsePoly | None:
+        # peel off target-only content (a valid factor of the projection)
+        # and drop multiplicities; the zero set is what matters here
+        if p.is_constant():
+            return None
+        if not (p.vars_present() - {"y1", "y2"}):
+            collected.append(p)
+            return None
+        if p.vars_present() & {"y1", "y2"}:
+            cont, prim = content_wrt(p, ["y1", "y2"])
+            if not cont.is_constant():
+                collected.append(cont)
+            p = prim
+        return squarefree_part_multivar(p)
+
+    polys = [q for q in (reduce_poly(p) for p in polys) if q is not None]
+    for var in ("x2", "x1"):
+        with_var = [p for p in polys if p.degree(var) > 0]
+        without = [p for p in polys if p.degree(var) <= 0]
+        if not with_var:
+            polys = without
+            continue
+        pivot = with_var[-1]
+        new = []
+        for p in with_var[:-1]:
+            r = resultant(p, pivot, var)
+            if r.is_zero():
+                g = gcd_multivar(p, pivot)
+                r = resultant(exact_div(p, g), pivot, var)
+                if r.is_zero():
+                    raise PolyError("discriminant elimination collapsed")
+            r = reduce_poly(r)
+            if r is not None:
+                new.append(r)
+        polys = new + without
+    D = SparsePoly.constant(1, f1.vars)
+    for p in polys + collected:
+        if p.vars_present() - {"y1", "y2"}:
+            raise PolyError("discriminant elimination left source variables")
+        D = D * p
+    if D.is_constant():
+        return SparsePoly.constant(1, D.vars)
+    return D.normalized()
 
 
 def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:

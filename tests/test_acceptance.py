@@ -242,8 +242,8 @@ def _pertinent_component_sets(f1, f2, fld):
         if not (e.pertinent and e.infinity):
             continue
         sysm = edge_transform(t1, t2, e, A)
-        res = ms_resultant(sysm, fld) if not sysm.skip else []
-        ful = _ms_fulton_all(sysm, fld) if not sysm.skip else []
+        res = ms_resultant(sysm, fld) if sysm.g.degree("z1") >= 1 else []
+        ful = _ms_fulton_all(sysm, fld) if sysm.g.degree("z1") >= 1 else []
 
         def normset(comps):
             out = set()

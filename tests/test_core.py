@@ -129,9 +129,9 @@ def test_non_infinity_edges_are_axis_bound():
 
 
 def test_boundary_gcd_has_no_root_at_zero():
-    # edge_transform divides the power of z1 out of g, so no boundary root is
-    # 0 and the per-root loops need no zero check; the maps are the
-    # benchmark ladders' and the curated suite's
+    # each z2 = 0 slice of edge_transform keeps a term free of z1 (see its
+    # comment), so no boundary root is 0 and the per-root loops need no zero
+    # check; the maps are the benchmark ladders' and the curated suite's
     maps = [(INTRO_F1, INTRO_F2), (BIG_F1, BIG_F2), IRRATIONAL_BOUNDARY,
             ("1 + x2^2*(x1-1)^2*(x1+2)*(x1+3)", CURATED[0][2])]
     maps += [(f"1 + x2^{2 * k}*(x1-1)^2", f"1 + x1*x2^{2 * k} + x2^{4 * k}*(x1-1)^2") for k in (2, 3)]

@@ -6,6 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from fixtures import CURATED, IRRATIONAL_BOUNDARY
+from oracles import discriminant_curve_oracle
+from jelonek import multiplicity
 from jelonek.parsing import parse_polynomial as P
 from jelonek.poly import (
     PolyError,
@@ -30,6 +32,7 @@ from jelonek.multiplicity import (
     _fulton,
     _multiplicity_at_rho,
     _resultant_certifies_coprime,
+    _ScanLine,
     _shift_to_rho,
 )
 from jelonek.realroots import isolate_real_roots, rational_roots, sign_at
@@ -57,7 +60,7 @@ def test_edge_transform_intro():
     assert sys.g1 == 2 - z1 + z2 * (1 - y1)
     assert sys.g2 == 12 - 10 * z1 + 2 * z1 ** 2 + z2 * (5 - y2)
     assert sys.g == (z1 - 2).normalized()
-    assert not sys.skip
+    assert sys.g.degree("z1") >= 1
 
 
 def test_ms_resultant_intro_real():
@@ -103,7 +106,7 @@ def test_ms_resultant_coprime_gives_nothing():
     from jelonek.multiplicity import EdgeSystem
 
     g = (z1 - 2).normalized()
-    sys = EdgeSystem(g1=g1, g2=g2, g=g, transform=None, edge=None, skip=False)
+    sys = EdgeSystem(g1=g1, g2=g2, g=g, transform=None, edge=None)
     comps = ms_resultant(sys, "R")
     for c in comps:
         assert not c.defining.is_zero()
@@ -206,7 +209,7 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
             if not (edge.pertinent and edge.infinity):
                 continue
             sys = edge_transform(f1, f2, edge, A)
-            if sys.skip:
+            if sys.g.degree("z1") < 1:
                 continue
             for factor, _ in squarefree_decomposition(sys.g, "z1"):
                 for rho, _ in isolate_real_roots(factor, "z1"):
@@ -315,19 +318,19 @@ def test_multiplicity_accumulation_invariant():
 
 
 def test_discriminant_examples():
-    assert discriminant_curve(P("x1"), P("x2")).is_constant()
-    d = discriminant_curve(P("x1^2"), P("x2"))
+    assert discriminant_curve_oracle(P("x1"), P("x2")).is_constant()
+    d = discriminant_curve_oracle(P("x1^2"), P("x2"))
     assert d.normalized() == y1.normalized()
-    d2 = discriminant_curve(P("x1^2 + x2^2"), P("x2"))
+    d2 = discriminant_curve_oracle(P("x1^2 + x2^2"), P("x2"))
     assert d2.normalized() == (y2 ** 2 - y1).normalized()
     with pytest.raises(PolyError):
-        discriminant_curve(P("x1"), P("x1"))
+        discriminant_curve_oracle(P("x1"), P("x1"))
 
 
-# Discriminant curves of the ladder-real maps.  The real scan draws its sample
-# points off this avoidance set, so a faster kernel under it must leave its
-# printed form unchanged.  The big worked example is left out: its discriminant
-# runs for minutes, and the emptiness phase decides that map without it.
+# Two-target discriminant curves of the ladder-real maps, pinned so that a
+# faster kernel under the oracle leaves its printed form unchanged.  The big
+# worked example is left out: its curve runs for minutes, and the emptiness
+# phase decides that map without a scan.
 LADDER_REAL_DISCRIMINANTS = {
     "intro": (CURATED[3][1:3],
         'y1^3*y2^3 - 15*y1^3*y2^2 - 3*y1^2*y2^3 + 75*y1^3*y2 + 45*y1^2*y2^2 + 3*y1*y2^3 '
@@ -378,7 +381,85 @@ LADDER_REAL_DISCRIMINANTS = {
 
 def test_discriminant_curve_pinned():
     for name, ((f1, f2), expected) in LADDER_REAL_DISCRIMINANTS.items():
-        assert str(discriminant_curve(P(f1), P(f2))) == expected, name
+        assert str(discriminant_curve_oracle(P(f1), P(f2))) == expected, name
+
+
+def test_line_discriminant_examples():
+    # the fold (x1, x2^2): the line y1 = 3 meets the fold line y2 = 0, where
+    # the real fiber count jumps from 0 to 2, although the preimage x1 = 3 of
+    # the line is free of x2
+    fold = (P("x1"), P("x2^2"))
+    d = discriminant_curve(*fold, _ScanLine("y1", "y2", F(3)))
+    assert not d.is_zero() and d.eval_rational({"y2": 0}).is_zero()
+    # the line y2 = 0 is all critical values: zero, and the scan skips it
+    assert discriminant_curve(*fold, _ScanLine("y2", "y1", F(0))).is_zero()
+    assert discriminant_curve(*fold, _ScanLine("y2", "y1", F(1))) == SparsePoly.constant(1)
+    d2 = discriminant_curve(P("x1^2 + x2^2"), P("x2"), _ScanLine("y2", "y1", F(2)))
+    assert d2 == (y1 - 4).normalized()
+    # over y2 = 5 the first curated map has critical points at (1, +-2), with
+    # value y1 = 1, where both leading coefficients in x2 vanish
+    f1, f2 = P(CURATED[0][1]), P(CURATED[0][2])
+    d3 = discriminant_curve(f1, f2, _ScanLine("y2", "y1", F(5)))
+    assert not d3.is_zero() and d3.eval_rational({"y1": 1}).is_zero()
+
+
+def _scan_records(monkeypatch, maps, shortcut=True):
+    """Run the real pipeline on each map and return, for every line on which
+    the scan computes a line discriminant, (f1, f2, J, avoid, line, disc)."""
+    records, current = [], []
+
+    def scan(J, f1, f2, avoid):
+        current[:] = [J, avoid]
+        return scan_and_count(J, f1, f2, avoid)
+
+    def line_disc(f1, f2, line):
+        disc = discriminant_curve(f1, f2, line)
+        records.append((f1, f2, *current, line, disc))
+        return disc
+
+    scan_and_count = multiplicity._scan_and_count
+    monkeypatch.setattr(multiplicity, "_scan_and_count", scan)
+    monkeypatch.setattr(multiplicity, "discriminant_curve", line_disc)
+    if not shortcut:
+        monkeypatch.setattr(multiplicity, "_odd_jump_shortcut", lambda comp, sys, rng: None)
+    verdicts = [{str(c.defining): c.realness
+                 for c in sparse_jelonek_2(P(a), P(b), "R", Options(mv_optimization=False)).components}
+                for a, b in maps]
+    return records, verdicts
+
+
+def test_line_discriminant_contains_oracle_curve(monkeypatch):
+    # every real point of the two-target curve on a line the scan reaches is
+    # a root of the line discriminant, of the component or of a norm in avoid
+    maps = dict.fromkeys([m for m, _ in LADDER_REAL_DISCRIMINANTS.values()]
+                         + [(a, b) for _, a, b, _, _ in CURATED])
+    records, _ = _scan_records(monkeypatch, maps)
+    oracles = {}
+    for f1, f2, J, avoid, line, disc in records:
+        key = (str(f1), str(f2))
+        if key not in oracles:
+            oracles[key] = discriminant_curve_oracle(f1, f2)
+        on_line = oracles[key].eval_rational({line.fixed_var: line.level})
+        catchers = [q.eval_rational({line.fixed_var: line.level}) for q in [disc, J] + avoid]
+        if on_line.is_zero():  # the curve holds the whole line
+            assert any(q.is_zero() for q in catchers), (key, line)
+            continue
+        for r, _ in isolate_real_roots(on_line, line.free_var):
+            assert any(q.is_zero() or sign_at(q, r, line.free_var) == 0 for q in catchers), \
+                (key, line, r.to_float())
+    assert len(records) >= 5 and len(oracles) >= 5
+
+
+def test_scan_route_agrees_with_shortcut(monkeypatch):
+    # the intro map and most components are decided by the odd-jump shortcut;
+    # with it off, the scan alone must give the same verdicts
+    maps = [CURATED[3][1:3]] + [(a, b) for _, a, b, _, _ in CURATED[:3]]
+    maps.append(LADDER_REAL_DISCRIMINANTS["extra-factor"][0])
+    records, with_shortcut = _scan_records(monkeypatch, maps)
+    monkeypatch.undo()
+    scan_records, scan_only = _scan_records(monkeypatch, maps, shortcut=False)
+    assert scan_only == with_shortcut
+    assert len(scan_records) > len(records)
 
 
 def test_norm_form():
