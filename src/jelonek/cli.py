@@ -104,8 +104,6 @@ def _poly_json(p: SparsePoly | None) -> str | None:
 
 
 def _rho_json(c: Component):
-    if c.rho is None:
-        return None
     r = c.rho.refined(QQ(1, 10 ** 6))
     return {
         "minpoly": poly_to_str(from_dense(r.dense, "t")),

@@ -14,19 +14,15 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from .extension import ExtContext, with_dynamic_splitting
+from .extension import ExtContext
 from .multiplicity import (
     Component,
     EdgeSystem,
     emptiness_test,
-    fulton_condition_polynomials,
     jacobian_det,
-    ms_fulton,
+    ms_fulton_all,
     ms_resultant,
     norm_form,
-    _dedup_components,
-    _rename_z1_to_a,
-    _split_factors,
 )
 from .poly import (
     PolyError,
@@ -35,7 +31,6 @@ from .poly import (
     from_dense,
     gcd_multivar,
     resultant,
-    squarefree_decomposition,
     squarefree_part_multivar,
 )
 from .polytope import (
@@ -44,7 +39,6 @@ from .polytope import (
     apply_transform,
     compute_lattice_basis,
     minkowski_sum,
-    mixed_volume,
     newton_polygon,
     test_number_of_roots,
     toric_transform,
@@ -96,22 +90,18 @@ class NotDominantError(ValueError):
 
 
 def check_dominant(f1: SparsePoly, f2: SparsePoly) -> tuple[bool, str]:
-    """Dominance: nonzero Jacobian determinant and independent polygons."""
+    """Dominance: a nonzero Jacobian determinant.
+
+    It also gives the Newton polygons of f1 and f2, each with the origin
+    added, a positive mixed volume: were one of them a point, or both
+    segments on one line through the origin, f1 and f2 would be polynomials
+    in one monomial.
+    """
     if f1.is_zero() or f2.is_zero():
         return False, "a coordinate polynomial is zero"
-    jac = jacobian_det(f1, f2)
-    if jac.is_zero():
+    if jacobian_det(f1, f2).is_zero():
         return False, "Jacobian determinant is identically zero"
-    A1 = _polygon_with_origin(f1)
-    A2 = _polygon_with_origin(f2)
-    if mixed_volume(A1, A2) == 0:
-        return False, "Newton polygons are dependent (mixed volume 0)"
     return True, "dominant"
-
-
-def _polygon_with_origin(f: SparsePoly) -> LatticePolygon:
-    poly = newton_polygon(f)
-    return LatticePolygon.from_points(list(poly.vertices) + [(0, 0)])
 
 
 def preprocess_translate(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> tuple[SparsePoly, SparsePoly, tuple[int, int]]:
@@ -145,8 +135,6 @@ def _edge_parameter_direction(edge: EdgeRecord) -> tuple[int, int]:
     for face in (edge.summand1, edge.summand2):
         if len(face) == 2 and _face_contains_origin(face):
             other = face[1] if face[0] == (0, 0) else face[0]
-            if other == (0, 0):
-                continue
             # orient from the origin into the quadrant
             if other[0] * e[0] + other[1] * e[1] < 0:
                 e = (-e[0], -e[1])
@@ -198,8 +186,6 @@ def _linear_image(P: SparsePoly, Q: SparsePoly) -> SparsePoly | None:
     y1 = SparsePoly.variable("y1", P.vars)
     y2 = SparsePoly.variable("y2", P.vars)
     dP, dQ = P.degree("t"), Q.degree("t")
-    if dP <= 0 and dQ <= 0:
-        return None  # a point, handled separately
     if dP <= 0:
         return (y1 - P).normalized()
     if dQ <= 0:
@@ -218,8 +204,6 @@ def _linear_image(P: SparsePoly, Q: SparsePoly) -> SparsePoly | None:
 def semi_origin_components(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, fld: str,
                            method: str = "resultant") -> list[Component]:
     """Components contributed by a semi-origin infinity edge."""
-    if not edge.semi_origin or not edge.infinity:
-        return []
     e = _edge_parameter_direction(edge)
     a_coeffs = _restricted_coefficients(f1, edge.summand1, e)
     b_coeffs = _restricted_coefficients(f2, edge.summand2, e)
@@ -262,8 +246,6 @@ def _line_family(P: SparsePoly, Q: SparsePoly, target_var: str, fld: str,
         R = resultant(yv - Q, P, "t")
         if R.is_zero():
             raise PolyError("implicit line family collapsed")
-        if R.degree(target_var) < 1:
-            return out
         defining = squarefree_part_multivar(R)
         out.append(Component(defining=defining, provenance=[prov], realness="not-applicable"))
         return out
@@ -315,35 +297,6 @@ def edge_transform(f1: SparsePoly, f2: SparsePoly, edge: EdgeRecord, A: LatticeP
     return EdgeSystem(g1=g1, g2=g2, g=g.normalized(), transform=tr, edge=edge)
 
 
-def _ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
-    """Fulton-based multiplicity sets for all boundary roots.
-
-    Real field: per real root.  Complex field: conditions are gathered over
-    every factor of the squarefree part of g and pushed down to Q by norm
-    forms, to compare against the resultant route.
-    """
-    if fld == FIELD_REAL:
-        # g(0) != 0 (see edge_transform), so no boundary root is 0
-        out: list[Component] = []
-        for factor, _ in squarefree_decomposition(sys.g, "z1"):
-            for root, _m in isolate_real_roots(factor, "z1"):
-                out.extend(ms_fulton(sys, root))
-        return out
-    # complex: dynamic splitting over the full squarefree part
-    gsf = squarefree_part_multivar(sys.g)
-    if gsf.degree("z1") < 1:
-        return []
-    mp = _rename_z1_to_a(gsf)
-    z1 = SparsePoly.variable("z1", sys.g1.vars)
-    a = SparsePoly.variable("a", sys.g1.vars)
-    G1 = sys.g1.subs_poly("z1", z1 + a)
-    G2 = sys.g2.subs_poly("z1", z1 + a)
-    results = with_dynamic_splitting(mp, "a", lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
-    norms = [norm_form(c.normalized(), m_factor) for m_factor, (_, conds) in results for c in conds]
-    return _dedup_components([Component(defining=f, realness="not-applicable")
-                              for n in norms for f in _split_factors(n)])
-
-
 # -- orchestration ---------------------------------------------------------------
 
 
@@ -374,7 +327,7 @@ def sparse_jelonek_2(f1: SparsePoly, f2: SparsePoly, fld: str = FIELD_COMPLEX,
                 sys = edge_transform(t1, t2, edge, A)
                 prov = Provenance(edge_index=edge.index, endpoints=edge.endpoints,
                                   flags=edge.flags(), source="pertinent", method=options.method)
-                route = _ms_fulton_all if options.method == "fulton" else ms_resultant
+                route = ms_fulton_all if options.method == "fulton" else ms_resultant
                 for comp in route(sys, fld):
                     comp.provenance.append(prov)
                     components.append(comp)
@@ -403,10 +356,8 @@ def _run_emptiness_phase(f1, f2, components: list[Component],
         comp.realness = emptiness_test(comp, sys, f1, f2, others, seed)
 
 
-def _component_norm(c: Component) -> SparsePoly | None:
+def _component_norm(c: Component) -> SparsePoly:
     if c.defining is None:
-        if c.param is None:
-            return None
         return implicitize_param(*c.param)
     return norm_form(c.defining, c.minpoly)
 

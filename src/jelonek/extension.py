@@ -90,9 +90,6 @@ class ExtContext:
     def mul(self, p: SparsePoly, q: SparsePoly) -> SparsePoly:
         return self.reduce(p * q)
 
-    def is_zero(self, p: SparsePoly) -> bool:
-        return self.reduce(p).is_zero()
-
     def inverse(self, u: SparsePoly) -> SparsePoly:
         """Inverse of an element of Q[a]/(m); raises ZeroDivisor on failure."""
         u = self.reduce(u)

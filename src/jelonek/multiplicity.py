@@ -161,19 +161,15 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
         raise PolyError("residual factor vanishes at z2 = 0")
     gsf = squarefree_part_multivar(sys.g)
     if fld == "C":
-        H = resultant(R12, gsf, "z1") if R12.degree("z1") >= 0 else R12
+        H = resultant(R12, gsf, "z1")
         if H.is_zero():
             raise PolyError("Poisson resultant vanished")
-        J = gcd_multivar(J2, H)
-        if J.is_constant():
-            return []
-        return [Component(defining=f, realness="not-applicable") for f in _split_factors(J)]
+        return [Component(defining=f, realness="not-applicable")
+                for f in _split_factors(gcd_multivar(J2, H))]
     # real branch: group real roots of g by squarefree factor
     components: list[Component] = []
     for factor, _ in squarefree_decomposition(sys.g, "z1"):
         real_roots = [r for r, _ in isolate_real_roots(factor, "z1")]
-        if not real_roots:
-            continue
         rational = [r for r in real_roots if r.is_rational()]
         irrational = [r for r in real_roots if not r.is_rational()]
         for r in rational:
@@ -181,10 +177,7 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
             J1 = R12.eval_rational({"z1": rho})
             if J1.is_zero():
                 raise PolyError("content split left a vanishing specialization")
-            J = gcd_multivar(J1, J2)
-            if J.is_constant():
-                continue
-            for f in _split_factors(J):
+            for f in _split_factors(gcd_multivar(J1, J2)):
                 components.append(Component(defining=f, realness="undetermined",
                                             rho=RealAlgebraic.from_rational(rho)))
         if irrational:
@@ -401,6 +394,34 @@ def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     return _dedup_components(out)
 
 
+def ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
+    """Fulton-based multiplicity sets for all boundary roots.
+
+    Real field: per real root.  Complex field: conditions are gathered over
+    every factor of the squarefree part of g and pushed down to Q by norm
+    forms, to compare against the resultant route.
+    """
+    if sys.g.degree("z1") < 1:
+        return []
+    if fld == "R":
+        # g(0) != 0 (see edge_transform), so no boundary root is 0
+        out: list[Component] = []
+        for factor, _ in squarefree_decomposition(sys.g, "z1"):
+            for root, _m in isolate_real_roots(factor, "z1"):
+                out.extend(ms_fulton(sys, root))
+        return out
+    # complex: dynamic splitting over the full squarefree part
+    mp = _rename_z1_to_a(squarefree_part_multivar(sys.g))
+    z1 = SparsePoly.variable("z1", sys.g1.vars)
+    a = SparsePoly.variable("a", sys.g1.vars)
+    G1 = sys.g1.subs_poly("z1", z1 + a)
+    G2 = sys.g2.subs_poly("z1", z1 + a)
+    results = with_dynamic_splitting(mp, "a", lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+    norms = [norm_form(c.normalized(), m_factor) for m_factor, (_, conds) in results for c in conds]
+    return _dedup_components([Component(defining=f, realness="not-applicable")
+                              for n in norms for f in _split_factors(n)])
+
+
 def _dedup_components(comps: list[Component]) -> list[Component]:
     seen = set()
     out = []
@@ -463,21 +484,13 @@ def _critical_box_bound(J: SparsePoly) -> Fraction:
             continue
         for ev, keep in (("y2", "y1"), ("y1", "y2")):
             if J.degree(ev) > 0 and dJ.degree(ev) > 0:
-                try:
-                    r = resultant(J, dJ, ev)
-                except PolyError:
+                # J is in Q[y1, y2], so r is in Q[keep]
+                r = resultant(J, dJ, ev)
+                if r.degree(keep) < 1:
                     continue
-                if r.is_zero() or r.is_constant() or r.degree(keep) < 1:
-                    continue
-                try:
-                    bound = max(bound, root_bound(r, keep))
-                except PolyError:
-                    continue
+                bound = max(bound, root_bound(r, keep))
             elif J.degree(ev) <= 0 and J.degree(keep) > 0:
-                try:
-                    bound = max(bound, root_bound(J, keep))
-                except PolyError:
-                    continue
+                bound = max(bound, root_bound(J, keep))
     return bound + 1
 
 
@@ -608,8 +621,9 @@ def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparseP
                    avoid: list[SparsePoly], seed: int = 0) -> str:
     """Decide whether a real multiplicity-set component meets the Jelonek set.
 
-    ``avoid`` holds the rational norms of the other components; the caller
-    leaves out every norm equal to the component's own.
+    ``comp`` comes from a pertinent edge, so it carries its boundary root
+    ``rho``.  ``avoid`` holds the rational norms of the other components;
+    the caller leaves out every norm equal to the component's own.
     Returns confirmed-nonempty / confirmed-empty / undetermined; failures
     always degrade to undetermined, never to a wrong verdict.
     """
@@ -617,8 +631,6 @@ def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparseP
     if comp.minpoly is not None and comp.defining.degree("a") > 0:
         return "undetermined"
     J = comp.defining.normalized()
-    if comp.rho is None:
-        return "undetermined"
 
     try:
         verdict = _odd_jump_shortcut(comp, sys, rng)

@@ -934,9 +934,6 @@ def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     if a.degree(var) < b.degree(var):
         a, b = b, a
     while True:
-        if b.is_zero():
-            g = a
-            break
         if b.degree(var) == 0:
             g = SparsePoly.constant(1, p.vars)
             break

@@ -37,10 +37,7 @@ def convex_hull(points) -> list[Point]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 @dataclass(frozen=True)
@@ -97,24 +94,6 @@ class LatticePolygon:
             if n[0] * d[1] - n[1] * d[0] == 0:
                 raise PolyError("degenerate face direction")
         return tuple(face)
-
-    def contains(self, p: Point) -> bool:
-        v = self.vertices
-        if len(v) == 1:
-            return p == v[0]
-        if len(v) == 2:
-            return _on_segment(v[0], v[1], p)
-        return all(_cross(a, b, p) >= 0 for a, b in self.edges())
-
-    def lattice_points(self) -> list[Point]:
-        xs = [x for x, _ in self.vertices]
-        ys = [y for _, y in self.vertices]
-        out = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if self.contains((x, y)):
-                    out.append((x, y))
-        return out
 
 
 def _on_segment(a: Point, b: Point, p: Point) -> bool:

@@ -198,9 +198,6 @@ class RealAlgebraic:
         a = self.refined(QQ(1, 10 ** 12))
         return float(a.mid())
 
-    def sign(self) -> int:
-        return self.cmp_fraction(QQ(0))
-
     def cmp_fraction(self, r: Fraction) -> int:
         """-1, 0, +1 as self <, ==, > r."""
         r = QQ(r)
@@ -212,17 +209,6 @@ class RealAlgebraic:
         while a.lo <= r <= a.hi:
             a = a.refined(a.width() / 4)
         return 1 if a.lo > r else -1
-
-    def __lt__(self, other: "RealAlgebraic") -> bool:
-        return compare(self, other) < 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RealAlgebraic):
-            return NotImplemented
-        return compare(self, other) == 0
-
-    def __hash__(self):
-        raise TypeError("unhashable; compare via intervals")
 
     def __repr__(self) -> str:
         if self.is_rational():
@@ -303,12 +289,7 @@ def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
         y = y.refined(y.width() / 4 if y.width() > 0 else QQ(1))
         if x.lo == x.hi and y.lo == y.hi and x.lo == y.lo:
             raise PolyError("numbers are equal")
-    lo, hi = x.hi, y.lo
-    if lo == hi:
-        # endpoints touch; nudge by refining once more
-        x = x.refined(x.width() / 4 if x.width() > 0 else QQ(1, 2))
-        lo = x.hi
-    return (lo + hi) / 2
+    return (x.hi + y.lo) / 2
 
 
 # -- isolation with multiplicities -------------------------------------------

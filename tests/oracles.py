@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import mpmath as mp
 
 from jelonek.multiplicity import jacobian_det
+from jelonek.polytope import LatticePolygon, _cross, _on_segment
 from jelonek.poly import (
     PolyError,
     SparsePoly,
@@ -30,6 +31,23 @@ from jelonek.poly import (
 from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
 
 ESCAPE_NORM = 1e6
+
+
+def polygon_contains(A: LatticePolygon, p: tuple[int, int]) -> bool:
+    v = A.vertices
+    if len(v) == 1:
+        return p == v[0]
+    if len(v) == 2:
+        return _on_segment(v[0], v[1], p)
+    return all(_cross(a, b, p) >= 0 for a, b in A.edges())
+
+
+def lattice_points(A: LatticePolygon) -> list[tuple[int, int]]:
+    """Every integer point of the polygon A, by brute force over its box."""
+    xs = [x for x, _ in A.vertices]
+    ys = [y for _, y in A.vertices]
+    return [(x, y) for x in range(min(xs), max(xs) + 1) for y in range(min(ys), max(ys) + 1)
+            if polygon_contains(A, (x, y))]
 
 
 def divides(q: SparsePoly, p: SparsePoly) -> bool:

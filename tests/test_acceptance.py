@@ -13,7 +13,7 @@ from fractions import Fraction as F
 sys.path.insert(0, os.path.dirname(__file__))
 
 from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, rand_dominant_map
-from oracles import divides, escape_oracle
+from oracles import divides, escape_oracle, lattice_points
 
 from jelonek.parsing import parse_polynomial as P
 from jelonek.poly import SparsePoly, gcd_multivar, resultant, squarefree_part_multivar
@@ -27,9 +27,8 @@ from jelonek.core import (
     implicitize_param,
     jelonek_2_baseline,
     sparse_jelonek_2,
-    _ms_fulton_all,
 )
-from jelonek.multiplicity import fulton_multiplicity, ms_resultant, norm_form, FULTON_INFINITY
+from jelonek.multiplicity import fulton_multiplicity, ms_fulton_all, ms_resultant, norm_form, FULTON_INFINITY
 from jelonek.polytope import (
     LatticePolygon,
     compute_lattice_basis,
@@ -243,7 +242,7 @@ def _pertinent_component_sets(f1, f2, fld):
             continue
         sysm = edge_transform(t1, t2, e, A)
         res = ms_resultant(sysm, fld) if sysm.g.degree("z1") >= 1 else []
-        ful = _ms_fulton_all(sysm, fld) if sysm.g.degree("z1") >= 1 else []
+        ful = ms_fulton_all(sysm, fld) if sysm.g.degree("z1") >= 1 else []
 
         def normset(comps):
             out = set()
@@ -309,7 +308,7 @@ def test_criterion_7_lattice_basis_properties():
             if S.dim() < 2:
                 continue
             pairs += 1
-            lattice = S.lattice_points()
+            lattice = lattice_points(S)
             for edge in records:
                 basis = compute_lattice_basis(edge, S)
                 v, w, a1 = basis.v, basis.w, basis.anchor

@@ -1,6 +1,9 @@
 """CLI behavior: commands, exit codes, JSON schema, determinism."""
 
 import json
+import runpy
+
+import pytest
 
 from jelonek.cli import main
 from jelonek.parsing import parse_polynomial
@@ -103,6 +106,16 @@ def test_multiplicity_command(capsys):
     assert code == 0 and out.strip() == "0"
     code, out, _ = run(capsys, ["multiplicity", "x1 - 1", "0", "--point", "1,0"])
     assert code == 0 and out.strip() == "infinity"
+
+
+# runpy warns that it runs a module the package has already imported
+@pytest.mark.filterwarnings("ignore:'jelonek.cli' found in sys.modules:RuntimeWarning")
+def test_module_entry_point(capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["jelonek", "bound"] + INTRO)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("jelonek.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.strip() == "39/5"
 
 
 def test_stdin_input(capsys, monkeypatch):

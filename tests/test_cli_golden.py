@@ -1,11 +1,12 @@
-"""Byte-for-byte `--json` output of the CLI on a fixed set of runs.
+"""Byte-for-byte output of the CLI on a fixed set of runs.
 
 The expected outputs in ``golden/cli.json`` were recorded once and are not
 regenerated by the suite: any change to them is a change of behaviour.
 The runs cover exact real verdicts over Q and over Q[a]/(m) on both
 multiplicity routes, the complex Fulton route, the merge of components
 from several edges, back-translation of a shifted map, implicitization,
-the baseline superset, the degree bound and the intersection multiplicity.
+the baseline superset, the degree bound and the intersection multiplicity,
+and every text and `--json` output branch of the CLI.
 """
 
 import json
@@ -20,6 +21,14 @@ NONEMPTY_LINE = CURATED[1][1:3]
 # the intro map without its constant terms: the pipeline translates it first
 INTRO_SHIFTED = ("2*x1*x2 - x1^2*x2^3", "12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5")
 EXACT = ["--json", "--seed", "3", "--no-mv-optimization"]
+# the origin edge along the diagonal gives the parametric curve
+# (1 + t + t^2, 2 + t^3), which is not a line
+PARAMETRIC = ("1 + x1*x2 + x1^2*x2^2 + x1", "2 + x1^3*x2^3 + x1^2")
+# the torus root count equals the mixed volume: the pertinent edges are skipped
+MV_SKIPPED = ("3*x1^3 - 3*x1*x2^2 - 3*x2^3 - 1", "3*x1^3 + x1*x2^2 - 2")
+# the semi-origin restriction x1^2 - 3 has the irrational real roots +-sqrt(3):
+# over R, two lines y2 = 1 + a + a^2 = 4 + a with a^2 = 3
+IRRATIONAL_LINES = ("1 + x2*(x1^2 - 3)", "1 + x1 + x1^2")
 
 CASES = {
     "irrational-boundary-real-resultant":
@@ -35,6 +44,14 @@ CASES = {
     "intro-implicit-baseline":
         ["compute", INTRO_F1, INTRO_F2, "--emit-implicit", "--with-baseline", *EXACT],
     "intro-shifted-real": ["compute", *INTRO_SHIFTED, "--field", "real", *EXACT],
+    "irrational-lines-real": ["compute", *IRRATIONAL_LINES, "--field", "real", "--json"],
+    "parametric-text-trace-baseline-implicit":
+        ["compute", *PARAMETRIC, "--trace", "--with-baseline", "--emit-implicit"],
+    "parametric-implicit": ["compute", *PARAMETRIC, "--json", "--emit-implicit"],
+    "mv-skipped-text": ["compute", *MV_SKIPPED],
+    "polytope-intro-text": ["polytope", INTRO_F1, INTRO_F2],
+    "baseline-intro": ["baseline", INTRO_F1, INTRO_F2, "--json"],
+    "mv-check-intro": ["mv-check", INTRO_F1, INTRO_F2, "--json"],
     "bound-intro": ["bound", INTRO_F1, INTRO_F2, "--json"],
     "multiplicity-nonempty-line": ["multiplicity", *NONEMPTY_LINE, "--point", "1,0", "--json"],
     "multiplicity-cusp": ["multiplicity", "x2 - (x1-1)^2", "x2^2 - (x1-1)^3", "--point", "1,0", "--json"],

@@ -21,6 +21,7 @@ from jelonek.core import (
     preprocess_translate,
     semi_origin_components,
     sparse_jelonek_2,
+    _linear_image,
 )
 from jelonek.polytope import minkowski_sum, newton_polygon
 from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
@@ -59,6 +60,16 @@ def test_check_dominant():
     assert not ok and "Jacobian" in reason
     ok, reason = check_dominant(P("x1 + 1"), P("x1^2"))
     assert not ok
+    assert check_dominant(SparsePoly.zero(), P("x1")) == (False, "a coordinate polynomial is zero")
+
+
+def test_linear_image():
+    t = SparsePoly.variable("t")
+    # (1 + t^2, 3 + 2*t^2) lies on y2 = 2*y1 + 1; (1 + t^2, t + t^2) is a parabola
+    assert _linear_image(1 + t ** 2, 3 + 2 * t ** 2) == (y2 - 2 * y1 - 1).normalized()
+    assert _linear_image(1 + t ** 2, t + t ** 2) is None
+    assert _linear_image(1 + t ** 2, t) is None
+    assert _linear_image(SparsePoly.constant(2), t) == (y1 - 2).normalized()
 
 
 def test_preprocess_translate():

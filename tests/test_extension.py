@@ -125,6 +125,7 @@ def test_ext_gcd_multivar_bivariate():
     g = ext_gcd_multivar(p, q, ctx)
     # g is associate to common over Q(a): their difference after monic scaling vanishes
     assert ctx.reduce(g - ext_monic(common, ctx)).is_zero()
+    assert ext_monic(a ** 2 - 3, ctx).is_zero()
 
 
 @pytest.mark.parametrize("modulus, p, q, expected", [

@@ -21,16 +21,22 @@ from jelonek.core import edge_transform, minkowski_sum, newton_polygon, sparse_j
 from jelonek.extension import ZeroDivisor
 from jelonek.multiplicity import (
     FULTON_INFINITY,
+    EdgeSystem,
     discriminant_curve,
     fulton_condition_polynomials,
     fulton_multiplicity,
     ms_fulton,
+    ms_fulton_all,
     ms_resultant,
     norm_form,
     _at_rho,
+    _critical_box_bound,
+    _eval_possibly_ext,
     _find_rational_point_on,
     _fulton,
+    _line_roots,
     _multiplicity_at_rho,
+    _odd_jump_shortcut,
     _resultant_certifies_coprime,
     _ScanLine,
     _shift_to_rho,
@@ -48,10 +54,29 @@ INTRO_F1 = P("1 + 2*x1*x2 - x1^2*x2^3")
 INTRO_F2 = P("5 + 12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5")
 
 
+# In the torus coordinates s = x1*x2, u = x1*x2^2 this map reads
+# (1 + s*(u^2 - 2), 5 + s*(u^2 - 2)*(u^2 - 3)).  Letting s run off to real
+# infinity while u -> +-sqrt(2) reaches every point of the rational line
+# y1 + y2 = 6, the component of both irrational boundary roots.
+IRRATIONAL_RHO_LINE = ("1 + x1*x2*(x1^2*x2^4 - 2)", "5 + x1*x2*(x1^2*x2^4 - 2)*(x1^2*x2^4 - 3)")
+# the third curated map with (x1 - 1) replaced by (x1 - 1)*(x1^2 - 3): one
+# squarefree factor of the boundary polynomial has a rational root and two
+# irrational ones
+MIXED_BOUNDARY = ("1 + x2^2*((x1-1)*(x1^2-3))^2*(x1+2)", "1 + x1*x2^2 + x2^4*((x1-1)*(x1^2-3))^2")
+
+
 def intro_edge_system():
     A, records = minkowski_sum(newton_polygon(INTRO_F1), newton_polygon(INTRO_F2))
     edge = [r for r in records if r.pertinent][0]
     return edge_transform(INTRO_F1, INTRO_F2, edge, A)
+
+
+def pertinent_edge_systems(f1: str, f2: str):
+    """The edge systems of the pertinent infinity edges of a map whose
+    coordinates have nonzero constant terms."""
+    f1, f2 = P(f1), P(f2)
+    A, records = minkowski_sum(newton_polygon(f1), newton_polygon(f2))
+    return [edge_transform(f1, f2, e, A) for e in records if e.pertinent and e.infinity]
 
 
 def test_edge_transform_intro():
@@ -110,6 +135,23 @@ def test_ms_resultant_coprime_gives_nothing():
     comps = ms_resultant(sys, "R")
     for c in comps:
         assert not c.defining.is_zero()
+
+
+def test_ms_resultant_removes_rational_roots_from_the_modulus():
+    # the rational root 1 gets its own component over Q; the modulus of the
+    # irrational roots +-sqrt(3) is the factor with z1 - 1 divided out
+    (sys,) = pertinent_edge_systems(*MIXED_BOUNDARY)
+    assert squarefree_decomposition(sys.g, "z1") == [(((z1 - 1) * (z1 ** 2 - 3)).normalized(), 2)]
+    a = SparsePoly.variable("a")
+    line = (y1 + 2 * a + 2) ** 2 - (a ** 2 - 3) * 4
+    comps = ms_resultant(sys, "R")
+    assert [(c.defining, c.minpoly) for c in comps] == [
+        ((y1 + 2).normalized(), None),
+        (line.normalized(), (a ** 2 - 3).normalized()),
+        (line.normalized(), (a ** 2 - 3).normalized()),
+    ]
+    assert comps[0].rho.as_fraction() == 1
+    assert [c.rho.to_float() for c in comps[1:]] == pytest.approx([-3 ** 0.5, 3 ** 0.5])
 
 
 def test_fulton_multiplicity_basics():
@@ -460,6 +502,56 @@ def test_scan_route_agrees_with_shortcut(monkeypatch):
     scan_records, scan_only = _scan_records(monkeypatch, maps, shortcut=False)
     assert scan_only == with_shortcut
     assert len(scan_records) > len(records)
+
+
+def test_critical_box_bound_of_a_general_curve():
+    # both partials of y1^2 + y2^2 - 4 keep the variable they eliminate:
+    # Res_y1(J, 2*y1) and Res_y2(J, 2*y2) are multiples of y2^2 - 4 and
+    # y1^2 - 4, whose Cauchy bound 5 beats the default 4
+    assert _critical_box_bound(y1 ** 2 + y2 ** 2 - 4) == 6
+    # a vertical line takes the univariate branch
+    assert _critical_box_bound(y1 - 10) == 12
+    # the hyperbola y1*y2 = 1 has no critical point: Res_y2(J, y2) is constant
+    assert _critical_box_bound(y1 * y2 - 1) == 5
+
+
+def test_scan_helpers_on_degenerate_input():
+    # no rational point: y1^2 + y2^2 = -1 has no real point at all
+    assert _find_rational_point_on(y1 ** 2 + y2 ** 2 + 1, random.Random(0)) is None
+    # the scan line y1 = 3 lies inside y1 - 3 = 0
+    assert _line_roots(y1 - 3, _ScanLine("y1", "y2", F(3))) is None
+    # a boundary polynomial without roots gives no component on either route
+    sys = EdgeSystem(g1=z1 + z2 - y1, g2=z1 * z2 - y2, g=SparsePoly.constant(1), transform=None, edge=None)
+    for fld in ("R", "C"):
+        assert ms_fulton_all(sys, fld) == ms_resultant(sys, fld) == []
+
+
+def test_eval_possibly_ext_decides_by_the_sign_at_rho():
+    a = SparsePoly.variable("a")
+    sqrt3 = [r for r, _ in isolate_real_roots(a ** 2 - 3, "a") if r.cmp_fraction(0) > 0][0]
+    pt = (F(1), F(2))
+    assert _eval_possibly_ext(y1 - 1, pt, sqrt3) is False
+    assert _eval_possibly_ext(y2 - 1, pt, sqrt3) is True
+    assert _eval_possibly_ext(a * y1 - y2, pt, sqrt3) is True
+    # a value with the extension variable vanishes where it vanishes at rho
+    assert _eval_possibly_ext(a ** 2 * y1 - 3, pt, sqrt3) is False
+    assert _eval_possibly_ext(a ** 2 * y1 - 2, pt, sqrt3) is True
+    with pytest.raises(PolyError):
+        _eval_possibly_ext(a * y1 - y2, pt, isolate_real_roots(z1 - 2, "z1")[0][0])
+
+
+def test_odd_jump_shortcut_at_an_irrational_rho():
+    # the component y1 + y2 = 6 is rational, so the shortcut runs with J1
+    # reduced over Q[a]/(a^2 - 2) at both boundary roots +-sqrt(2)
+    (sys,) = pertinent_edge_systems(*IRRATIONAL_RHO_LINE)
+    a = SparsePoly.variable("a")
+    comps = ms_resultant(sys, "R")
+    assert [(c.defining, c.minpoly) for c in comps] == [
+        ((y1 + y2 - 6).normalized(), (a ** 2 - 2).normalized())] * 2
+    assert [c.rho.to_float() for c in comps] == pytest.approx([-2 ** 0.5, 2 ** 0.5])
+    for seed in range(3):
+        for c in comps:
+            assert _odd_jump_shortcut(c, sys, random.Random(seed)) == "confirmed-nonempty"
 
 
 def test_norm_form():

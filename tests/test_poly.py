@@ -58,6 +58,16 @@ def test_add_mul_basic():
     assert p * one == p
 
 
+def test_zero_polynomial_and_scalar_comparisons():
+    zero = SparsePoly.zero()
+    assert zero.min_degree("x1") == zero.total_degree() == -1
+    assert zero.normalized() is zero
+    assert (1 + x1).scale(0) == zero
+    assert not zero and x1
+    assert x1 - x1 == 0 and 2 * one == F(2)
+    assert x1 != "x1"
+
+
 def test_universe_mismatch_rejected():
     q = SparsePoly.variable("u", ("u", "v"))
     with pytest.raises(PolyError):
@@ -90,6 +100,13 @@ def test_monomial_substitute_identity():
     rng = random.Random(3)
     p = rand_poly(rng, ["x1", "x2"])
     assert p.monomial_substitute([[1, 0], [0, 1]], ("x1", "x2"), ("x1", "x2")) == p
+
+
+def test_monomial_substitute_cancels_colliding_terms():
+    # a singular matrix sends x1 and x2 to the same monomial z1*z2
+    p = x1 - x2 + 3
+    q = p.monomial_substitute([[1, 1], [1, 1]], ("x1", "x2"), ("z1", "z2"))
+    assert q == SparsePoly.constant(3)
 
 
 def test_monomial_substitute_composes_and_inverts():
@@ -128,6 +145,10 @@ def test_transformed_intro_system():
     g = (f1 - y1).monomial_substitute([[-1, 1], [-2, 1]], ("x1", "x2"), ("z1", "z2"))
     g, _ = g.clear_denominators(["z1", "z2"])
     assert g == 2 - z1 + z2 * (1 - y1)
+
+
+def test_pseudo_division_by_a_higher_degree_divisor():
+    assert pseudo_division(x1 + x2, x1 ** 2, "x1") == (SparsePoly.zero(), x1 + x2)
 
 
 def test_pseudo_division_identity():
@@ -368,6 +389,7 @@ def test_squarefree():
     assert dec == [((x1 + 2).normalized(), 1), ((x1 - 1).normalized(), 2)]
     assert squarefree_part_multivar(x1 + 5) == (x1 + 5).normalized()
     assert squarefree_decomposition(x1 ** 3) == [(x1.normalized(), 3)]
+    assert squarefree_decomposition(SparsePoly.constant(3)) == []
     rng = random.Random(53)
     for _ in range(10):
         f1 = rand_poly(rng, ["x1"], deg=2, nterms=2)

@@ -2,6 +2,7 @@
 
 import random
 
+from oracles import lattice_points
 from jelonek.parsing import parse_polynomial as P
 from jelonek.poly import SparsePoly
 from jelonek.polytope import (
@@ -184,7 +185,7 @@ def _check_pi1_pi2(basis, A):
     D = v[0] * w[1] - v[1] * w[0]
     assert D in (1, -1)
     assert D == basis.det
-    for p in A.lattice_points():
+    for p in lattice_points(A):
         rel = (p[0] - a1[0], p[1] - a1[1])
         b1 = (rel[0] * w[1] - rel[1] * w[0]) * D
         b2 = (v[0] * rel[1] - v[1] * rel[0]) * D

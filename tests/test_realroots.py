@@ -62,6 +62,8 @@ def test_isolate_example_quadratic():
 def test_isolate_no_real_roots_and_errors():
     assert isolate_real_roots(x1 ** 2 + 1) == []
     assert isolate_real_roots(SparsePoly.constant(5)) == []
+    assert isolate_real_roots(SparsePoly.constant(5), "x1") == []
+    assert isolate_squarefree_dense([5]) == []
     with pytest.raises(PolyError):
         isolate_real_roots(SparsePoly.zero())
     # x1 - 4/x1: the exponent -1 is refused, not read as a list index
@@ -151,7 +153,7 @@ def test_parity_invariant():
 
 
 def test_refine():
-    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() > 0][0]
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
     fine = r2.refined(F(1, 10 ** 6))
     assert fine.width() < F(1, 10 ** 6)
     assert compare(fine, r2) == 0
@@ -159,15 +161,23 @@ def test_refine():
     assert compare(again, fine) == 0
     rat = RealAlgebraic.from_rational(F(3, 7))
     assert rat.refined(F(1, 100)).as_fraction() == F(3, 7)
+    assert repr(rat) == "RealAlgebraic(3/7)"
+    assert repr(r2) == "RealAlgebraic(~1.414214)"
+
+
+def test_cmp_fraction_at_a_rational_root_inside_the_interval():
+    two = RealAlgebraic([-4, 0, 1], F(1), F(3))
+    assert [two.cmp_fraction(r) for r in (F(1), F(2), F(5, 2))] == [1, 0, -1]
 
 
 def test_sign_at():
-    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() > 0][0]
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
     assert sign_at(x1 ** 2 - 2, r2) == 0
     assert sign_at(x1, r2) == 1
     assert sign_at(x1 ** 2 - 3, r2) == -1
     assert sign_at(x1 ** 3 - 2 * x1, r2) == 0
     assert sign_at(x1 ** 3 - 2 * x1 + 1, r2) == 1
+    assert sign_at(SparsePoly.zero(), r2) == 0
 
 
 def test_root_bound():
@@ -202,6 +212,7 @@ def test_count_real_solutions_basic():
     assert count_real_solutions(x1 ** 2 - 1, x2 - x1) == (2, 2)
     assert count_real_solutions(x1 ** 2 + 1, x2) == (0, 0)
     assert count_real_solutions((x1 - 1) ** 2, x2 - 1) == (1, 2)
+    assert count_real_solutions(x1 - 1, SparsePoly.constant(2)) == (0, 0)
 
 
 def test_count_real_solutions_not_zero_dim():
@@ -325,13 +336,26 @@ def test_count_matches_numeric_oracle():
 
 def test_count_param_algebraic():
     # system x1^2 - w = 0, x2 - x1 = 0 at w = sqrt(2): two real solutions
-    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() > 0][0]
+    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
     f1 = x1 ** 2 - w
     f2 = x2 - x1
     assert count_real_solutions_param(f1, f2, "w", sqrt2) == (2, 2)
     # at w = -sqrt2 there are none
-    msqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.sign() < 0][0]
+    msqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) < 0][0]
     assert count_real_solutions_param(f1, f2, "w", msqrt2) == (0, 0)
+
+
+def test_count_param_fiber_certificate_rejects_a_colliding_shear():
+    # x2 = +-1 and x1 - x2 = w: at w = sqrt(2) two simple real solutions,
+    # (w + 1, 1) and (w - 1, -1).  The first shear x1 -> x1 + x2 puts both
+    # over x1 = w: there R = 3*(x1 - w)^2 and the first subresultant is
+    # (x1 - w)*(x2 + 2), so its x2-coefficient shares the root x1 = w with R.
+    # Only the certificate sends the count to the next shear; counted at the
+    # first one, the two solutions would read as one double solution (1, 2).
+    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    f1 = x2 ** 2 - 1
+    f2 = x2 ** 2 - 1 + (x1 - x2 - w) * (x2 + 2)
+    assert count_real_solutions_param(f1, f2, "w", sqrt2) == (2, 2)
 
 
 def test_sheared_resultant_certified():
