@@ -210,6 +210,14 @@ class RealAlgebraic:
             a = a.refined(a.width() / 4)
         return 1 if a.lo > r else -1
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RealAlgebraic):
+            return NotImplemented
+        return compare(self, other) == 0
+
+    def __hash__(self):
+        raise TypeError("unhashable; compare via intervals")
+
     def __repr__(self) -> str:
         if self.is_rational():
             return f"RealAlgebraic({self.as_fraction()})"

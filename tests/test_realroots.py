@@ -165,6 +165,17 @@ def test_refine():
     assert repr(r2) == "RealAlgebraic(~1.414214)"
 
 
+def test_equality_is_by_value_and_hashing_raises():
+    assert RealAlgebraic.from_rational(1) == RealAlgebraic.from_rational(1)
+    assert RealAlgebraic.from_rational(1) != RealAlgebraic.from_rational(2)
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    assert r2 == r2.refined(F(1, 10 ** 6))
+    assert r2 != RealAlgebraic.from_rational(F(3, 2))
+    assert r2 != 1.4142
+    with pytest.raises(TypeError, match="compare via intervals"):
+        hash(r2)
+
+
 def test_cmp_fraction_at_a_rational_root_inside_the_interval():
     two = RealAlgebraic([-4, 0, 1], F(1), F(3))
     assert [two.cmp_fraction(r) for r in (F(1), F(2), F(5, 2))] == [1, 0, -1]

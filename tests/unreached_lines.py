@@ -1,6 +1,6 @@
 """List the library lines that no test runs.
 
-    PYTHONPATH=src python tests/unreached_lines.py [pytest arguments]
+    PYTHONPATH=src python tests/unreached_lines.py
 
 Runs the test suite in-process under ``sys.settrace``, recording only the
 lines executed in ``src/jelonek``. A line counts when the compiler emits
@@ -41,7 +41,7 @@ def countable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     prefix = str(LIBRARY) + "/"
     reached: dict[str, set[int]] = {}
 
@@ -59,7 +59,7 @@ def main(argv: list[str]) -> int:
 
     sys.settrace(tracer)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
 
@@ -75,4 +75,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
