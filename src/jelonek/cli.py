@@ -28,7 +28,6 @@ from .core import (
     JelonekSet,
     NotDominantError,
     Options,
-    check_dominant,
     degree_bound,
     implicitize_param,
     jelonek_2_baseline,
@@ -271,9 +270,6 @@ def _dispatch(args) -> int:
             print(text)
         return 0
     if args.command == "bound":
-        ok, reason = check_dominant(f1, f2)
-        if not ok:
-            raise NotDominantError(reason)
         b = degree_bound(f1, f2, args.seed)
         if args.json:
             print(json.dumps({"version": SCHEMA_VERSION, "bound": str(b)}))

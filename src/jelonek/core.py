@@ -257,7 +257,7 @@ def _line_family(P: SparsePoly, Q: SparsePoly, target_var: str, fld: str,
             val = Q.eval_rational({"t": root.as_fraction()}).constant_value()
             defining = (yv - SparsePoly.constant(val, vars_)).normalized()
         else:
-            minpoly = root.minpoly_sparse("a", vars_)
+            minpoly = from_dense(root.dense, "a", vars_)
             Qa = Q.subs_poly("t", SparsePoly.variable("a", vars_))
             defining = ExtContext(minpoly, "a").reduce(yv - Qa)
         out.append(Component(defining=defining, minpoly=minpoly,
@@ -351,7 +351,7 @@ def _run_emptiness_phase(f1, f2, components: list[Component],
         except PolyError:
             norms.append((c, None))
     for sys, comp in pending:
-        mine = _component_norm(comp)
+        mine = next(n for c, n in norms if c is comp)
         others = [n for c, n in norms if c is not comp and n is not None and n != mine]
         comp.realness = emptiness_test(comp, sys, f1, f2, others, seed)
 

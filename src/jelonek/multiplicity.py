@@ -28,22 +28,25 @@ from .poly import (
     SparsePoly,
     content_wrt,
     dense_int,
+    dense_squarefree,
     exact_div,
+    from_dense,
     gcd_multivar,
     resultant,
-    squarefree_decomposition,
     squarefree_part_multivar,
+    _dense_quo,
 )
 from .realroots import (
     RealAlgebraic,
+    cauchy_bound,
     compare,
     count_real_solutions,
     count_real_solutions_param,
     isolate_real_roots,
     rational_between,
     rational_roots,
-    root_bound,
-    sign_at,
+    real_roots,
+    sign_at_dense,
     _root_in,
     _select_modulus_factor,
 )
@@ -136,8 +139,7 @@ def _split_factors(J: SparsePoly) -> list[SparsePoly]:
         cont, prim = content_wrt(rest, [var])
         # cont is purely in var: univariate squarefree split
         if not cont.is_constant():
-            for f, _ in squarefree_decomposition(cont, var):
-                out.append(f.normalized())
+            out.extend(from_dense(f, var, cont.vars) for f, _ in dense_squarefree(dense_int(cont, var)))
         rest = prim
     if not rest.is_constant():
         out.append(squarefree_part_multivar(rest))
@@ -159,21 +161,19 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
     R12, J2 = sys.R12, sys.J2
     if J2.is_zero():
         raise PolyError("residual factor vanishes at z2 = 0")
-    gsf = squarefree_part_multivar(sys.g)
     if fld == "C":
-        H = resultant(R12, gsf, "z1")
+        H = resultant(R12, squarefree_part_multivar(sys.g), "z1")
         if H.is_zero():
             raise PolyError("Poisson resultant vanished")
         return [Component(defining=f, realness="not-applicable")
                 for f in _split_factors(gcd_multivar(J2, H))]
     # real branch: group real roots of g by squarefree factor
     components: list[Component] = []
-    for factor, _ in squarefree_decomposition(sys.g, "z1"):
-        real_roots = [r for r, _ in isolate_real_roots(factor, "z1")]
-        rational = [r for r in real_roots if r.is_rational()]
-        irrational = [r for r in real_roots if not r.is_rational()]
-        for r in rational:
-            rho = r.as_fraction()
+    for factor, _ in dense_squarefree(dense_int(sys.g, "z1")):
+        roots = real_roots(factor)
+        rational = [r.as_fraction() for r in roots if r.is_rational()]
+        irrational = [r for r in roots if not r.is_rational()]
+        for rho in rational:
             J1 = R12.eval_rational({"z1": rho})
             if J1.is_zero():
                 raise PolyError("content split left a vanishing specialization")
@@ -181,16 +181,14 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
                 components.append(Component(defining=f, realness="undetermined",
                                             rho=RealAlgebraic.from_rational(rho)))
         if irrational:
+            # divide out the rational roots so the modulus holds the
+            # irrational ones only
             mp = factor
-            # remove rational linear factors so the modulus matches the
-            # irrational roots only
-            for r in rational:
-                z1 = SparsePoly.variable("z1", factor.vars)
-                lin = (z1 - SparsePoly.constant(r.as_fraction(), factor.vars)).normalized()
-                mp = exact_div(mp, lin)
-            mp = _rename_z1_to_a(mp.normalized())
-            J1 = _rename_z1_to_a(R12)
-            for m_factor, J in with_dynamic_splitting(mp, "a", lambda ctx: ext_gcd_multivar(J1, J2, ctx)):
+            for rho in rational:
+                mp = _dense_quo(mp, [-rho.numerator, rho.denominator])
+            J1 = _z1_to_a(R12)
+            for m_factor, J in with_dynamic_splitting(from_dense(mp, "a", R12.vars), "a",
+                                                      lambda ctx: ext_gcd_multivar(J1, J2, ctx)):
                 for r in irrational:
                     if _root_in(dense_int(m_factor, "a"), r.lo, r.hi):
                         if J.degree("y1") <= 0 and J.degree("y2") <= 0:
@@ -200,17 +198,9 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
     return components
 
 
-def _rename_z1_to_a(p: SparsePoly) -> SparsePoly:
-    i_from, i_to = p.vars.index("z1"), p.vars.index("a")
-    out = {}
-    for exps, c in p.terms.items():
-        if exps[i_to] != 0:
-            raise PolyError("extension variable already in use")
-        e = list(exps)
-        e[i_to] = e[i_from]
-        e[i_from] = 0
-        out[tuple(e)] = c
-    return SparsePoly(out, p.vars)
+def _z1_to_a(p: SparsePoly) -> SparsePoly:
+    """p with z1 written as the extension variable a."""
+    return p.monomial_substitute(((1, 0), (0, 1)), ("z1", "z2"), ("a", "z2"))
 
 
 # -- Fulton's recursive intersection multiplicity ------------------------------
@@ -359,7 +349,7 @@ def _shift_to_rho(g1: SparsePoly, g2: SparsePoly, rho: RealAlgebraic):
         modulus = None
         shift = z1 + SparsePoly.constant(rho.as_fraction(), g1.vars)
     else:
-        modulus = rho.minpoly_sparse("a", g1.vars).normalized()
+        modulus = from_dense(rho.dense, "a", g1.vars)
         shift = z1 + SparsePoly.variable("a", g1.vars)
     return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift), modulus
 
@@ -406,12 +396,12 @@ def ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
     if fld == "R":
         # g(0) != 0 (see edge_transform), so no boundary root is 0
         out: list[Component] = []
-        for factor, _ in squarefree_decomposition(sys.g, "z1"):
-            for root, _m in isolate_real_roots(factor, "z1"):
+        for factor, _ in dense_squarefree(dense_int(sys.g, "z1")):
+            for root in real_roots(factor):
                 out.extend(ms_fulton(sys, root))
         return out
     # complex: dynamic splitting over the full squarefree part
-    mp = _rename_z1_to_a(squarefree_part_multivar(sys.g))
+    mp = _z1_to_a(squarefree_part_multivar(sys.g))
     z1 = SparsePoly.variable("z1", sys.g1.vars)
     a = SparsePoly.variable("a", sys.g1.vars)
     G1 = sys.g1.subs_poly("z1", z1 + a)
@@ -488,9 +478,9 @@ def _critical_box_bound(J: SparsePoly) -> Fraction:
                 r = resultant(J, dJ, ev)
                 if r.degree(keep) < 1:
                     continue
-                bound = max(bound, root_bound(r, keep))
+                bound = max(bound, cauchy_bound(dense_int(r, keep)))
             elif J.degree(ev) <= 0 and J.degree(keep) > 0:
-                bound = max(bound, root_bound(J, keep))
+                bound = max(bound, cauchy_bound(dense_int(J, keep)))
     return bound + 1
 
 
@@ -501,7 +491,7 @@ class _ScanLine:
     level: Fraction
 
 
-def _scan_lines(J: SparsePoly, bound: Fraction) -> list[_ScanLine]:
+def _scan_lines(bound: Fraction) -> list[_ScanLine]:
     lines = []
     for level in (bound, -bound):
         lines.append(_ScanLine("y2", "y1", level))
@@ -573,7 +563,7 @@ def _eval_possibly_ext(p: SparsePoly, pt: tuple[Fraction, Fraction], rho: RealAl
         return True
     if rho is None or rho.is_rational():
         raise PolyError("unexpected extension variable")
-    return sign_at(v, rho, "a") != 0
+    return sign_at_dense(dense_int(v, "a"), rho) != 0
 
 
 def _odd_jump_shortcut(comp: Component, sys: EdgeSystem, rng: random.Random) -> str | None:
@@ -589,9 +579,8 @@ def _odd_jump_shortcut(comp: Component, sys: EdgeSystem, rng: random.Random) -> 
     if rho.is_rational():
         J1 = R12.eval_rational({"z1": rho.as_fraction()})
     else:
-        mp = rho.minpoly_sparse("a", R12.vars)
-        ctx = ExtContext(mp, "a")
-        J1 = ctx.reduce(_rename_z1_to_a(R12))
+        ctx = ExtContext(from_dense(rho.dense, "a", R12.vars), "a")
+        J1 = ctx.reduce(_z1_to_a(R12))
     p_rat = _find_rational_point_on(J, rng)
     if p_rat is None:
         return None
@@ -663,7 +652,7 @@ def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly, avoid: list[S
     # pointwise by exact counting.
     avoid = [a for a in (_strip_shared(o, J) for o in avoid) if not a.is_constant()]
     bound = _critical_box_bound(J)
-    for line in _scan_lines(J, bound):
+    for line in _scan_lines(bound):
         roots = _line_roots(J, line)
         if roots is None or not roots:
             continue

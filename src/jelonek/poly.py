@@ -23,7 +23,8 @@ Univariate polynomials also have one dense form, owned by this module: the
 ascending list of coprime ``int`` coefficients (:func:`dense_int`), a
 positive rational multiple of the polynomial.  It has the same roots and
 the same sign at every point, which is all root isolation, sign tests and
-univariate gcds need; :func:`dense_gcd` runs the primitive PRS on it and
+univariate gcds need; :func:`dense_gcd` runs the primitive PRS on it,
+:func:`dense_squarefree` is the one squarefree decomposition over Q, and
 :func:`from_dense` turns a coefficient list back into a ``SparsePoly``.
 """
 
@@ -894,6 +895,43 @@ def dense_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [-c for c in a] if a[-1] < 0 else list(a)
 
 
+def _dense_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact quotient of dense forms a / b; raises :class:`PolyError` if b
+    does not divide a over Z."""
+    hi = len(a) - len(b)
+    q = _iquo(dict(enumerate(a)), {k: c for k, c in enumerate(b) if c}, hi, 1 << hi.bit_length())
+    return [q.get(k, 0) for k in range(hi + 1)]
+
+
+def dense_squarefree(p: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Squarefree decomposition [(factor, multiplicity), ...] of a nonzero
+    dense form, by ascending multiplicity.
+
+    The factors are squarefree, pairwise coprime dense forms with positive
+    leading coefficient; the product of factor^multiplicity is p up to a
+    rational unit.  g = gcd(p, p') holds each factor once less than p, so
+    c = p/g is their product; c/gcd(c, g) is the product of those of the
+    current multiplicity, and the loop goes on with gcd(c, g) and
+    g/gcd(c, g).  Every quotient is exact over Z by Gauss's lemma.
+    """
+    if len(p) <= 1:
+        return []
+    if p[-1] < 0:
+        p = [-c for c in p]
+    d = [k * c for k, c in enumerate(p)][1:]
+    g = dense_gcd(p, [c // int_gcd(*d) for c in d])
+    c = _dense_quo(p, g)
+    out: list[tuple[list[int], int]] = []
+    k = 1
+    while len(c) > 1:
+        y = dense_gcd(c, g)
+        if len(c) > len(y):
+            out.append((_dense_quo(c, y), k))
+        c, g = y, _dense_quo(g, y)
+        k += 1
+    return out
+
+
 def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """Gcd over Q, normalized integer-primitive with positive leading coeff.
 
@@ -947,41 +985,6 @@ def gcd_multivar(p: SparsePoly, q: SparsePoly) -> SparsePoly:
         _, g = content_wrt(g, [v for v in p.vars if v != var])
     result = (cont_gcd * g).normalized()
     return result
-
-
-def squarefree_decomposition(p: SparsePoly, var: str | None = None) -> list[tuple[SparsePoly, int]]:
-    """Yun decomposition [(factor, multiplicity), ...] of a univariate polynomial.
-
-    Factors are normalized, pairwise coprime and squarefree; the product of
-    factor^multiplicity equals p up to a rational unit.
-    """
-    if p.is_zero():
-        raise PolyError("zero polynomial")
-    present = p.vars_present()
-    if var is None:
-        if len(present) > 1:
-            raise PolyError("polynomial is not univariate")
-        if not present:
-            return []
-        var = next(iter(present))
-    if p.degree(var) == 0:
-        return []
-    dp = p.derivative(var)
-    g = gcd_multivar(p, dp)
-    out: list[tuple[SparsePoly, int]] = []
-    c = exact_div(p, g)
-    d = exact_div(dp, g) - c.derivative(var)
-    i = 1
-    while True:
-        if c.degree(var) == 0:
-            break
-        a = gcd_multivar(c, d)
-        if a.degree(var) > 0:
-            out.append((a.normalized(), i))
-        c = exact_div(c, a)
-        d = exact_div(d, a) - c.derivative(var)
-        i += 1
-    return out
 
 
 def squarefree_part_multivar(p: SparsePoly) -> SparsePoly:

@@ -42,10 +42,10 @@ from .poly import (
     SparsePoly,
     dense_gcd,
     dense_int,
+    dense_squarefree,
     from_dense,
     gcd_multivar,
     resultant_and_penultimate,
-    squarefree_decomposition,
 )
 
 
@@ -191,9 +191,6 @@ class RealAlgebraic:
                 lo = m
         return RealAlgebraic(self.dense, lo, hi)
 
-    def minpoly_sparse(self, var: str, variables=None) -> SparsePoly:
-        return from_dense(self.dense, var, variables)
-
     def to_float(self) -> float:
         a = self.refined(QQ(1, 10 ** 12))
         return float(a.mid())
@@ -230,14 +227,6 @@ def _interval_eval(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[Fracti
         cands = (mn * lo, mn * hi, mx * lo, mx * hi)
         mn, mx = min(cands) + c, max(cands) + c
     return mn, mx
-
-
-def sign_at(q: SparsePoly, alpha: RealAlgebraic, var: str | None = None) -> int:
-    """Exact sign of q(alpha) for univariate q."""
-    present = q.vars_present()
-    if var is None:
-        var = next(iter(present)) if present else "x1"
-    return sign_at_dense(dense_int(q, var), alpha)
 
 
 def sign_at_dense(dense: Sequence[int], alpha: RealAlgebraic) -> int:
@@ -303,28 +292,22 @@ def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
 # -- isolation with multiplicities -------------------------------------------
 
 
-def isolate_real_roots(p: SparsePoly, var: str | None = None) -> list[tuple[RealAlgebraic, int]]:
-    """All real roots of a univariate polynomial with multiplicities, sorted."""
+def real_roots(p: Sequence[int]) -> list[RealAlgebraic]:
+    """The real roots of a squarefree dense form, ascending, each rational
+    one made exact."""
+    roots = []
+    for lo, hi in isolate_squarefree_dense(p):
+        root = RealAlgebraic(p, lo, hi)
+        r = _extract_rational(root)
+        roots.append(root if r is None else RealAlgebraic.from_rational(r))
+    return roots
+
+
+def isolate_real_roots(p: SparsePoly, var: str) -> list[tuple[RealAlgebraic, int]]:
+    """All real roots of a polynomial in ``var`` alone with multiplicities, sorted."""
     if p.is_zero():
         raise PolyError("zero polynomial")
-    present = p.vars_present()
-    if var is None:
-        if len(present) > 1:
-            raise PolyError("not univariate")
-        if not present:
-            return []
-        var = next(iter(present))
-    if p.degree(var) == 0:
-        return []
-    roots: list[tuple[RealAlgebraic, int]] = []
-    for factor, mult in squarefree_decomposition(p, var):
-        dense = dense_int(factor, var)
-        for lo, hi in isolate_squarefree_dense(dense):
-            root = RealAlgebraic(dense, lo, hi)
-            r = _extract_rational(root)
-            if r is not None:
-                root = RealAlgebraic.from_rational(r)
-            roots.append((root, mult))
+    roots = [(r, mult) for f, mult in dense_squarefree(dense_int(p, var)) for r in real_roots(f)]
     only = [r for r, _ in roots]
     _make_disjoint(only)
     roots = [(r, m) for r, (_, m) in zip(only, roots)]
@@ -348,29 +331,9 @@ def _make_disjoint(roots: list[RealAlgebraic]) -> None:
                 changed = True
 
 
-def root_bound(p: SparsePoly, var: str | None = None) -> Fraction:
-    """Cauchy bound on the magnitude of every complex root."""
-    present = p.vars_present()
-    if var is None:
-        if len(present) != 1:
-            raise PolyError("not a nonconstant univariate polynomial")
-        var = next(iter(present))
-    return cauchy_bound(dense_int(p, var))
-
-
-def rational_roots(p: SparsePoly, var: str | None = None) -> list[Fraction]:
-    """All rational roots of a univariate polynomial over Q."""
-    present = p.vars_present()
-    if var is None:
-        if len(present) != 1:
-            raise PolyError("not univariate")
-        var = next(iter(present))
-    out = []
-    for root, _ in isolate_real_roots(p, var):
-        r = _extract_rational(root)
-        if r is not None:
-            out.append(r)
-    return sorted(set(out))
+def rational_roots(p: SparsePoly, var: str) -> list[Fraction]:
+    """All rational roots of a polynomial in ``var`` alone, ascending."""
+    return [r.as_fraction() for r, _ in isolate_real_roots(p, var) if r.is_rational()]
 
 
 def _extract_rational(alpha: RealAlgebraic) -> Fraction | None:
@@ -479,14 +442,14 @@ def _check_x2_leading(F1: SparsePoly, F2: SparsePoly) -> None:
             raise ShearError("leading coefficient not constant after shear")
 
 
-def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, list[tuple[SparsePoly, int]]]:
-    """(R, factors): R = Res_x2(F1, F2) and its squarefree decomposition in
-    x1, shear certified.
+def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, list[tuple[list[int], int]]]:
+    """(R, factors): R = Res_x2(F1, F2) and the squarefree decomposition of
+    its dense form in x1, shear certified.
 
     Certifies that every root of R carries exactly one solution of
     F1 = F2 = 0: both leading coefficients in x2 are constant, the
     penultimate subresultant has degree 1 in x2, and its coefficient c1 has
-    no common root with the squarefree part (the product of the factors).
+    no common root with any factor.
     Raises :class:`ShearError` otherwise, and :class:`PolyError` when R
     vanishes.  A constant R (no solutions) comes with no factors.
     """
@@ -499,12 +462,10 @@ def sheared_resultant(F1: SparsePoly, F2: SparsePoly) -> tuple[SparsePoly, list[
     if penult.degree("x2") != 1:
         raise ShearError("defective remainder sequence")
     c1 = penult.coeff_of("x2", 1)
-    factors = squarefree_decomposition(R, "x1")
+    factors = dense_squarefree(dense_int(R, "x1"))
     if not c1.is_constant():
-        Rsf = SparsePoly.constant(1, R.vars)
-        for f, _ in factors:
-            Rsf = Rsf * f
-        if gcd_multivar(Rsf, c1).degree("x1") > 0:
+        c = dense_int(c1, "x1")
+        if any(len(dense_gcd(f, c)) > 1 for f, _ in factors):
             raise ShearError("fiber degeneracy at a resultant root")
     return R, factors
 
@@ -515,7 +476,7 @@ def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
     distinct = 0
     with_mult = 0
     for f, mult in factors:
-        n = len(isolate_squarefree_dense(dense_int(f, "x1")))
+        n = len(isolate_squarefree_dense(f))
         distinct += n
         with_mult += n * mult
     return distinct, with_mult

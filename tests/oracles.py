@@ -20,12 +20,12 @@ from jelonek.poly import (
     SparsePoly,
     content_wrt,
     dense_int,
+    dense_squarefree,
     exact_div,
     from_dense,
     gcd_multivar,
     resultant,
     resultant_and_penultimate,
-    squarefree_decomposition,
     squarefree_part_multivar,
 )
 from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
@@ -103,11 +103,11 @@ def squarefree_part_by_partials(p: SparsePoly) -> SparsePoly:
     return exact_div(p, g).normalized()
 
 
-def _yun_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:
-    """Product of the Yun factors of a univariate polynomial, normalized."""
+def _decomposition_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:
+    """Product of the squarefree factors of a univariate polynomial, normalized."""
     acc = SparsePoly.constant(1, p.vars)
-    for f, _ in squarefree_decomposition(p, var):
-        acc = acc * f
+    for f, _ in dense_squarefree(dense_int(p, var)):
+        acc = acc * from_dense(f, var, p.vars)
     return acc.normalized()
 
 
@@ -213,7 +213,7 @@ def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[i
         if penult.degree("x2") != 1:
             continue
         c1 = penult.coeff_of("x2", 1)
-        if not c1.is_constant() and gcd_multivar(_yun_squarefree_part(R, "x1"), c1).degree("x1") > 0:
+        if not c1.is_constant() and gcd_multivar(_decomposition_squarefree_part(R, "x1"), c1).degree("x1") > 0:
             continue
         roots = isolate_real_roots(R, "x1")
         return len(roots), sum(m for _, m in roots)
@@ -231,7 +231,7 @@ def _exact_squarefree(coeffs: list[F]) -> list:
     p = from_dense(coeffs, "x1")
     if p.degree("x1") < 1:
         return coeffs
-    return dense_int(_yun_squarefree_part(p, "x1"), "x1")
+    return dense_int(_decomposition_squarefree_part(p, "x1"), "x1")
 
 
 def _mp_real_roots(coeffs: list[F], dps: int = 60):
@@ -305,9 +305,11 @@ def escape_oracle(f1: SparsePoly, f2: SparsePoly, component: SparsePoly,
     """True if the component attracts real escapes, False if provably not,
     None when the numerics are inconclusive.
 
-    Approaches each sample point on the component from four directions with
+    Approaches each sample point on the component from six directions with
     exactly-represented offsets down to 1e-30 and tracks the largest real
-    solution norm.
+    solution norm.  A direction whose norm passed ``ESCAPE_NORM`` at some
+    scale without the consistent growth of an escape is an anomaly: an
+    escape the numerics lost at the finest offsets reads that way too.
     """
     if samples is None:
         samples = _sample_points(component)
@@ -337,7 +339,7 @@ def escape_oracle(f1: SparsePoly, f2: SparsePoly, component: SparsePoly,
                         and norms[-2] > 100)
             if trending:
                 saw_escape = True
-            elif norms[-1] > ESCAPE_NORM:
+            elif max(norms) > ESCAPE_NORM:
                 anomalies = True
     if saw_escape:
         return True

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelonek.poly import PolyError, SparsePoly, gcd_multivar, squarefree_decomposition
+from jelonek.poly import PolyError, SparsePoly, dense_int, dense_squarefree, from_dense, gcd_multivar
 from jelonek.extension import (
     ExtContext,
     ZeroDivisor,
@@ -233,7 +233,9 @@ def test_ext_squarefree_decomposition_matches_rational_at_each_root(g0, u1, v, k
             if f.eval_rational({"a": r}).is_zero():
                 at_r = [(g.eval_rational({"a": r}), m) for g, m in dec]
                 assert (_normalized_decomposition(at_r)
-                        == _normalized_decomposition(squarefree_decomposition(p.eval_rational({"a": r}), "x1")))
+                        == _normalized_decomposition(
+                            [(from_dense(g, "x1"), m)
+                             for g, m in dense_squarefree(dense_int(p.eval_rational({"a": r}), "x1"))]))
 
 
 # a cubic and a linear factor that share the root x1 = -1 when a = 1 and

@@ -14,13 +14,13 @@ from jelonek.poly import (
     content_wrt,
     dense_gcd,
     dense_int,
+    dense_squarefree,
     exact_div,
     from_dense,
     gcd_multivar,
     poly_to_str,
     pseudo_division,
     resultant,
-    squarefree_decomposition,
     squarefree_part_multivar,
 )
 from jelonek.parsing import parse_polynomial as P
@@ -385,11 +385,11 @@ def test_dense_int_rejects_laurent_and_extra_variables():
 def test_squarefree():
     p = (x1 - 1) ** 2 * (x1 + 2)
     assert squarefree_part_multivar(p) == ((x1 - 1) * (x1 + 2)).normalized()
-    dec = squarefree_decomposition(p)
-    assert dec == [((x1 + 2).normalized(), 1), ((x1 - 1).normalized(), 2)]
+    dec = dense_squarefree(dense_int(p, "x1"))
+    assert dec == [(dense_int(x1 + 2, "x1"), 1), (dense_int(x1 - 1, "x1"), 2)]
     assert squarefree_part_multivar(x1 + 5) == (x1 + 5).normalized()
-    assert squarefree_decomposition(x1 ** 3) == [(x1.normalized(), 3)]
-    assert squarefree_decomposition(SparsePoly.constant(3)) == []
+    assert dense_squarefree(dense_int(x1 ** 3, "x1")) == [(dense_int(x1, "x1"), 3)]
+    assert dense_squarefree(dense_int(SparsePoly.constant(3), "x1")) == []
     rng = random.Random(53)
     for _ in range(10):
         f1 = rand_poly(rng, ["x1"], deg=2, nterms=2)
@@ -398,9 +398,33 @@ def test_squarefree():
             continue
         p = f1 ** 2 * f2
         rebuilt = SparsePoly.constant(1)
-        for fac, mult in squarefree_decomposition(p):
-            rebuilt = rebuilt * fac ** mult
+        for fac, mult in dense_squarefree(dense_int(p, "x1")):
+            rebuilt = rebuilt * from_dense(fac, "x1") ** mult
         assert rebuilt.normalized() == p.normalized()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(polys_in(["x1"], max_deg=3), st.integers(1, 3)), min_size=1, max_size=3))
+def test_dense_squarefree_properties(powers):
+    """The product of factor^multiplicity is p up to a rational unit; the
+    factors are squarefree, pairwise coprime, with positive leading
+    coefficient; the multiplicities ascend."""
+    p = one
+    for f, k in powers:
+        p = p * f ** k
+    if p.is_zero():
+        return
+    dec = dense_squarefree(dense_int(p, "x1"))
+    rebuilt = one
+    for f, k in dec:
+        rebuilt = rebuilt * from_dense(f, "x1") ** k
+    assert rebuilt.normalized() == p.normalized()
+    for i, (f, k) in enumerate(dec):
+        assert len(f) > 1 and f[-1] > 0
+        assert len(dense_gcd(f, [j * c for j, c in enumerate(f)][1:])) == 1
+        for g, m in dec[i + 1:]:
+            assert dense_gcd(f, g) == [1]
+            assert k < m
 
 
 line = 4 * y2 * (x1 - 1) - 3 * x1 + 5
@@ -514,6 +538,7 @@ def test_exact_div_at_field_boundaries(k):
         (x1 ** b * x2 ** a, x1 ** a * x2 ** a, x1),  # monomial divisor
         (3 * p, F(3, 2), 2 * p),  # constant divisor
         (p * shift, F(3, 2), "not divisible"),  # constant divisor, Laurent dividend
+        (SparsePoly.zero(), q, SparsePoly.zero()),  # zero dividend
     ]
     for dividend, divisor, expected in cases:
         divisor = dividend._check(divisor)

@@ -14,6 +14,7 @@ from jelonek.poly import PolyError, SparsePoly, dense_int, from_dense, resultant
 from jelonek.realroots import (
     RealAlgebraic,
     ShearError,
+    cauchy_bound,
     compare,
     count_real_solutions,
     count_real_solutions_param,
@@ -21,9 +22,8 @@ from jelonek.realroots import (
     isolate_squarefree_dense,
     rational_between,
     rational_roots,
-    root_bound,
     sheared_resultant,
-    sign_at,
+    sign_at_dense,
     _shear,
     _sign_at,
 )
@@ -38,7 +38,7 @@ def approx(alpha, places=9):
 
 
 def test_isolate_classic():
-    roots = isolate_real_roots(x1 ** 2 - 2)
+    roots = isolate_real_roots(x1 ** 2 - 2, "x1")
     assert len(roots) == 2
     (r1, m1), (r2, m2) = roots
     assert m1 == m2 == 1
@@ -48,27 +48,29 @@ def test_isolate_classic():
 
 def test_isolate_with_multiplicities():
     p = (x1 - 1) ** 2 * (x1 + 2)
-    roots = isolate_real_roots(p)
+    roots = isolate_real_roots(p, "x1")
     assert [(approx(r, 6), m) for r, m in roots] == [(-2.0, 1), (1.0, 2)]
 
 
 def test_isolate_example_quadratic():
     p = 2 * x1 ** 2 - 10 * x1 + 12
-    roots = isolate_real_roots(p)
+    roots = isolate_real_roots(p, "x1")
     vals = sorted(r.as_fraction() if r.is_rational() else None for r, _ in roots)
     assert vals == [F(2), F(3)]
 
 
 def test_isolate_no_real_roots_and_errors():
-    assert isolate_real_roots(x1 ** 2 + 1) == []
-    assert isolate_real_roots(SparsePoly.constant(5)) == []
+    assert isolate_real_roots(x1 ** 2 + 1, "x1") == []
+    assert isolate_real_roots(SparsePoly.constant(5), "x2") == []
     assert isolate_real_roots(SparsePoly.constant(5), "x1") == []
     assert isolate_squarefree_dense([5]) == []
     with pytest.raises(PolyError):
-        isolate_real_roots(SparsePoly.zero())
+        isolate_real_roots(SparsePoly.zero(), "x1")
+    with pytest.raises(PolyError):
+        isolate_real_roots(x1 * x2 - 1, "x1")
     # x1 - 4/x1: the exponent -1 is refused, not read as a list index
     with pytest.raises(PolyError):
-        isolate_real_roots(x1 - SparsePoly.monomial({"x1": -1}, 4))
+        isolate_real_roots(x1 - SparsePoly.monomial({"x1": -1}, 4), "x1")
 
 
 # Expected (lo, hi) pairs recorded from the Fraction Taylor-shift bisection
@@ -121,7 +123,7 @@ def test_isolation_against_numpy_oracle():
             p = p + SparsePoly.constant(c) * x1 ** k
         if p.degree("x1") < 1:
             continue
-        roots = isolate_real_roots(p)
+        roots = isolate_real_roots(p, "x1")
         numeric = np.roots(list(reversed(coeffs)))
         real_numeric = sorted(z.real for z in numeric if abs(z.imag) < 1e-9)
         # counts with multiplicity match (random integer polys are squarefree
@@ -148,12 +150,12 @@ def test_parity_invariant():
         d = p.degree("x1")
         if d < 1:
             continue
-        total = sum(m for _, m in isolate_real_roots(p))
+        total = sum(m for _, m in isolate_real_roots(p, "x1"))
         assert (d - total) % 2 == 0
 
 
 def test_refine():
-    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) > 0][0]
     fine = r2.refined(F(1, 10 ** 6))
     assert fine.width() < F(1, 10 ** 6)
     assert compare(fine, r2) == 0
@@ -168,7 +170,7 @@ def test_refine():
 def test_equality_is_by_value_and_hashing_raises():
     assert RealAlgebraic.from_rational(1) == RealAlgebraic.from_rational(1)
     assert RealAlgebraic.from_rational(1) != RealAlgebraic.from_rational(2)
-    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) > 0][0]
     assert r2 == r2.refined(F(1, 10 ** 6))
     assert r2 != RealAlgebraic.from_rational(F(3, 2))
     assert r2 != 1.4142
@@ -182,40 +184,37 @@ def test_cmp_fraction_at_a_rational_root_inside_the_interval():
 
 
 def test_sign_at():
-    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
-    assert sign_at(x1 ** 2 - 2, r2) == 0
-    assert sign_at(x1, r2) == 1
-    assert sign_at(x1 ** 2 - 3, r2) == -1
-    assert sign_at(x1 ** 3 - 2 * x1, r2) == 0
-    assert sign_at(x1 ** 3 - 2 * x1 + 1, r2) == 1
-    assert sign_at(SparsePoly.zero(), r2) == 0
+    r2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) > 0][0]
+    for q, sign in ((x1 ** 2 - 2, 0), (x1, 1), (x1 ** 2 - 3, -1), (x1 ** 3 - 2 * x1, 0),
+                    (x1 ** 3 - 2 * x1 + 1, 1), (SparsePoly.zero(), 0)):
+        assert sign_at_dense(dense_int(q, "x1"), r2) == sign
 
 
 def test_root_bound():
-    assert root_bound(x1 ** 2 - 2) >= F(3, 2)
-    assert root_bound(x1 - 10) >= 10
+    assert cauchy_bound(dense_int(x1 ** 2 - 2, "x1")) >= F(3, 2)
+    assert cauchy_bound(dense_int(x1 - 10, "x1")) >= 10
     p = x1 ** 4 + x1 - 1
-    assert root_bound(p) <= 2
+    assert cauchy_bound(dense_int(p, "x1")) <= 2
 
 
 def test_rational_roots():
     p = (3 * x1 - 2) * (x1 + 5) * (x1 ** 2 - 2)
-    assert rational_roots(p) == [F(-5), F(2, 3)]
+    assert rational_roots(p, "x1") == [F(-5), F(2, 3)]
 
 
 def test_rational_roots_with_a_large_leading_coefficient():
-    assert rational_roots((10 ** 13 * x1 - 3) * (x1 ** 2 - 2)) == [F(3, 10 ** 13)]
+    assert rational_roots((10 ** 13 * x1 - 3) * (x1 ** 2 - 2), "x1") == [F(3, 10 ** 13)]
 
 
 def test_compare_and_between():
-    roots = [r for r, _ in isolate_real_roots((x1 ** 2 - 2) * (x1 ** 2 - 3))]
-    assert [sign_at(x1, r) for r in roots] == [-1, -1, 1, 1]
+    roots = [r for r, _ in isolate_real_roots((x1 ** 2 - 2) * (x1 ** 2 - 3), "x1")]
+    assert [sign_at_dense(dense_int(x1, "x1"), r) for r in roots] == [-1, -1, 1, 1]
     sqrt2 = roots[2]
     sqrt3 = roots[3]
     assert compare(sqrt2, sqrt3) == -1
     q = rational_between(sqrt2, sqrt3)
-    assert sign_at(x1 - SparsePoly.constant(q), sqrt2) == -1
-    assert sign_at(x1 - SparsePoly.constant(q), sqrt3) == 1
+    assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt2) == -1
+    assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt3) == 1
     assert compare(sqrt2, sqrt2.refined(F(1, 1000))) == 0
 
 
@@ -347,12 +346,12 @@ def test_count_matches_numeric_oracle():
 
 def test_count_param_algebraic():
     # system x1^2 - w = 0, x2 - x1 = 0 at w = sqrt(2): two real solutions
-    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) > 0][0]
     f1 = x1 ** 2 - w
     f2 = x2 - x1
     assert count_real_solutions_param(f1, f2, "w", sqrt2) == (2, 2)
     # at w = -sqrt2 there are none
-    msqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) < 0][0]
+    msqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) < 0][0]
     assert count_real_solutions_param(f1, f2, "w", msqrt2) == (0, 0)
 
 
@@ -363,7 +362,7 @@ def test_count_param_fiber_certificate_rejects_a_colliding_shear():
     # (x1 - w)*(x2 + 2), so its x2-coefficient shares the root x1 = w with R.
     # Only the certificate sends the count to the next shear; counted at the
     # first one, the two solutions would read as one double solution (1, 2).
-    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2) if r.cmp_fraction(0) > 0][0]
+    sqrt2 = [r for r, _ in isolate_real_roots(x1 ** 2 - 2, "x1") if r.cmp_fraction(0) > 0][0]
     f1 = x2 ** 2 - 1
     f2 = x2 ** 2 - 1 + (x1 - x2 - w) * (x2 + 2)
     assert count_real_solutions_param(f1, f2, "w", sqrt2) == (2, 2)
@@ -378,7 +377,7 @@ def test_sheared_resultant_certified():
     R, factors = sheared_resultant(f1, f2)
     assert R == resultant(f1, f2, "x2")
     assert R.degree("x1") == 3
-    assert factors == [(R.normalized(), 1)]
+    assert factors == [(dense_int(R.normalized(), "x1"), 1)]
 
 
 @pytest.mark.parametrize("f1, f2", [
