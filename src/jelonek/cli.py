@@ -282,13 +282,7 @@ def _dispatch(args) -> int:
             pt = (Fraction(parts[0].strip()), Fraction(parts[1].strip()))
         except (ValueError, IndexError, ZeroDivisionError):
             raise ParseError("point must be two rationals a,b", 0)
-        x1 = SparsePoly.variable("x1", f1.vars)
-        x2 = SparsePoly.variable("x2", f1.vars)
-        F = f1.subs_poly("x1", x1 + SparsePoly.constant(pt[0], f1.vars))
-        F = F.subs_poly("x2", x2 + SparsePoly.constant(pt[1], f1.vars))
-        G = f2.subs_poly("x1", x1 + SparsePoly.constant(pt[0], f1.vars))
-        G = G.subs_poly("x2", x2 + SparsePoly.constant(pt[1], f1.vars))
-        mu = fulton_multiplicity(F, G, pair=("x1", "x2"))
+        mu = fulton_multiplicity(f1, f2, ("x1", "x2"), pt)
         text = str(mu)  # FULTON_INFINITY prints as "infinity"
         if args.json:
             print(json.dumps({"version": SCHEMA_VERSION, "multiplicity": text}))

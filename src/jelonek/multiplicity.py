@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import comb, gcd, lcm
 
 from .extension import (
     ExtContext,
@@ -35,6 +36,7 @@ from .poly import (
     resultant,
     squarefree_part_multivar,
     _dense_quo,
+    _ducos,
 )
 from .realroots import (
     RealAlgebraic,
@@ -218,7 +220,8 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
     valid off the condition curves (infinity when F and G share a component
     through the origin), and ``conditions`` lists every y-dependent
     coefficient whose vanishing would raise it.  Without y1, y2 the result
-    is the numeric multiplicity and ``conditions`` is empty.
+    is the numeric multiplicity and ``conditions`` is empty (over Q,
+    :func:`_int_fulton` computes it).
 
     A shared component through the origin is ruled out over Q without a gcd
     when Res_v(F, G) is nonzero and u does not divide both: a nonzero
@@ -253,7 +256,7 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
         pF = red(F.eval_rational({v: QQ(0)}))
         pG = red(G.eval_rational({v: QQ(0)}))
         if pF.is_zero() and pG.is_zero():
-            return FULTON_INFINITY, conditions
+            raise PolyError("v divides both operands after the shared-component check")
         if pF.is_zero():
             F = _strip_parameter_content(_divide_monomial(F, v), zvars, ctx)
             nu = pG.min_degree(u)
@@ -274,29 +277,96 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
         mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
         G = red(G * lcF - F * lcG * mono)
         if G.is_zero():
-            return FULTON_INFINITY, conditions
+            raise PolyError("F divides G after the shared-component check")
         F, G = _strip_parameter_content(G, zvars, ctx), F
     raise PolyError("multiplicity recursion failed to terminate")
 
 
 def _resultant_certifies_coprime(F: SparsePoly, G: SparsePoly, u: str, v: str) -> bool:
-    """True when Res_v(F, G) != 0 and u does not divide both F and G."""
-    if F.min_degree(u) > 0 and G.min_degree(u) > 0:
-        return False
-    try:
-        return not resultant(F, G, v).is_zero()
-    except PolyError:  # both v-free: no resultant to certify with
-        return False
+    """True when u does not divide both F and G and Res_v(F, G) != 0.  Both
+    vanish at the origin, so if they pass the first test not both are v-free."""
+    return (F.min_degree(u) == 0 or G.min_degree(u) == 0) and not resultant(F, G, v).is_zero()
 
 
-def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), ctx: ExtContext | None = None):
-    """Intersection multiplicity of the curves F = 0, G = 0 at the origin.
+def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(0, 0),
+                        ctx: ExtContext | None = None):
+    """Intersection multiplicity at ``point`` of the curves F = 0, G = 0 in ``pair``.
 
     Returns a nonnegative integer, or ``FULTON_INFINITY`` when F and G share
-    a component through the origin.  Coefficients may live in Q or in a
-    simple extension (supply ``ctx``).
+    a component through the point.  Over Q it runs on integer rows; with
+    ``ctx`` the coefficients live in Q[a]/(m) and the point is the origin.
     """
-    return _fulton(F, G, pair, ctx)[0]
+    if ctx is not None:
+        return _fulton(F, G, pair, ctx)[0]
+    return _int_fulton(_int_rows(F, pair, point), _int_rows(G, pair, point))
+
+
+def _int_rows(p: SparsePoly, pair, point) -> list[dict[int, int]]:
+    """An integer multiple of p((a + u) / q, (b + v) / s) for ``point`` = (a/q, b/s),
+    which has the intersection multiplicities of p at the point at the origin.
+    Row j, the coefficient of v^j, maps the exponent of u to a nonzero int, as
+    in poly._ducos; zero is [{}]."""
+    if p.vars_present() - set(pair) or any(x < 0 for e in p.terms for x in e):
+        raise PolyError(f"not a polynomial in {pair}")
+    iu, iv = p._idx(pair[0]), p._idx(pair[1])
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    terms = {(e[iu], e[iv]): int(c * den) for e, c in p.terms.items()}
+    for x in map(Fraction, point):
+        # shift the first coordinate and swap the two: u^k in q^d * f((a + u) / q)
+        # has the coefficient sum_i c_i * C(i, k) * a^(i-k) * q^(d-i)
+        d, shifted = max((i for i, _ in terms), default=0), {}
+        for (i, j), c in terms.items():
+            for k in range(i + 1) if x else (i,):
+                t = c * comb(i, k) * x.numerator ** (i - k) * x.denominator ** (d - i)
+                shifted[j, k] = shifted.get((j, k), 0) + t
+        terms = shifted
+    # the top row of p stays nonzero, so no empty row trails
+    rows: list[dict[int, int]] = [{} for _ in range(max((j for _, j in terms), default=0) + 1)]
+    for (i, j), c in terms.items():
+        if c:
+            rows[j][i] = c
+    return rows
+
+
+def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]]):
+    """:func:`_fulton` at the origin without parameters, on integer rows,
+    with the integer content divided out after every step."""
+    if not F[0].get(0) and not G[0].get(0):
+        if not any(F) or not any(G):
+            return FULTON_INFINITY
+        # _resultant_certifies_coprime on the engine; Res_v(P, Q) != 0 for a v-free Q
+        P, Q = (F, G) if len(F) >= len(G) else (G, F)
+        if not any(0 in row for row in F + G) or len(Q) > 1 and not _ducos(P, Q)[0]:
+            h = gcd_multivar(*(SparsePoly({(i, j): c for j, row in enumerate(R) for i, c in row.items()},
+                                          ("u", "v")) for R in (F, G)))
+            if not h.is_constant() and (0, 0) not in h.terms:
+                return FULTON_INFINITY
+    # Now F and G share no component through the origin, and no step makes
+    # one: a swap, a division by the content and G -> lc(F)*G - lc(G)*u^k*F
+    # keep the ideal (F, G), and F -> F/v keeps a divisor of F.  So the two
+    # raises below, a shared v and F dividing G, never run.
+    mult = 0
+    for _ in range(5000):
+        if F[0].get(0) or G[0].get(0):
+            return mult
+        pF, pG = F[0], G[0]
+        if not pF and not pG:
+            raise PolyError("v divides both operands after the shared-component check")
+        if not pF:
+            F, mult = F[1:], mult + min(pG)
+        elif not pG or max(pF) > max(pG):
+            F, G = G, F
+        else:
+            dF, dG = max(pF), max(pG)
+            H = [{i: pF[dF] * c for i, c in row.items()} for row in G] + [{} for _ in F[len(G):]]
+            for h, row in zip(H, F):
+                for i, c in row.items():
+                    h[i + dG - dF] = h.get(i + dG - dF, 0) - pG[dG] * c
+            g = gcd(*(c for row in H for c in row.values()))
+            if not g:
+                raise PolyError("F divides G after the shared-component check")
+            F, G = [{i: c // g for i, c in row.items() if c} for row in H], F
+    raise PolyError("multiplicity recursion failed to terminate")
 
 
 def fulton_condition_polynomials(G1: SparsePoly, G2: SparsePoly, ctx: ExtContext | None = None,
@@ -447,7 +517,10 @@ def _eval_y(p: SparsePoly, pt: tuple[Fraction, Fraction]) -> Fraction:
 def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction, Fraction]):
     """Intersection multiplicity of the specialized edge system at (rho, 0)."""
     at_pt = {"y1": pt[0], "y2": pt[1]}
-    G1, G2, modulus = _shift_to_rho(sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt), rho)
+    g1, g2 = sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt)
+    if rho.is_rational():
+        return fulton_multiplicity(g1, g2, point=(rho.as_fraction(), 0))
+    G1, G2, modulus = _shift_to_rho(g1, g2, rho)
     return _at_rho(modulus, rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx))[1]
 
 

@@ -29,6 +29,11 @@ MV_SKIPPED = ("3*x1^3 - 3*x1*x2^2 - 3*x2^3 - 1", "3*x1^3 + x1*x2^2 - 2")
 # the semi-origin restriction x1^2 - 3 has the irrational real roots +-sqrt(3):
 # over R, two lines y2 = 1 + a + a^2 = 4 + a with a^2 = 3
 IRRATIONAL_LINES = ("1 + x2*(x1^2 - 3)", "1 + x1 + x1^2")
+# the two curves share the line x1 = 0 through the origin
+SHARED_COMPONENT = ("x1*x2", "x1*(x1-x2)", "--point", "0,0")
+# two parabolas with contact of order 3 at the non-integer point (1/2, 2/3)
+TANGENCY = ("x2 - 2/3 - 3/2*(x1 - 1/2)^2",
+            "x2 - 2/3 - 3/2*(x1 - 1/2)^2 + 5/4*(x1 - 1/2)^3 + 7/3*(x2 - 2/3)^2", "--point", "1/2,2/3")
 
 CASES = {
     "irrational-boundary-real-resultant":
@@ -55,6 +60,10 @@ CASES = {
     "bound-intro": ["bound", INTRO_F1, INTRO_F2, "--json"],
     "multiplicity-nonempty-line": ["multiplicity", *NONEMPTY_LINE, "--point", "1,0", "--json"],
     "multiplicity-cusp": ["multiplicity", "x2 - (x1-1)^2", "x2^2 - (x1-1)^3", "--point", "1,0", "--json"],
+    "multiplicity-shared-component-text": ["multiplicity", *SHARED_COMPONENT],
+    "multiplicity-shared-component": ["multiplicity", *SHARED_COMPONENT, "--json"],
+    "multiplicity-rational-tangency-text": ["multiplicity", *TANGENCY],
+    "multiplicity-rational-tangency": ["multiplicity", *TANGENCY, "--json"],
 }
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())

@@ -4,9 +4,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixtures import CURATED, IRRATIONAL_BOUNDARY
 from oracles import discriminant_curve_oracle, escape_oracle
+from strategies import polys_in
 from jelonek import multiplicity
 from jelonek.parsing import parse_polynomial as P
 from jelonek.poly import (
@@ -191,6 +193,64 @@ def test_fulton_condition_polynomials_trailing_coefficient():
     assert fulton_multiplicity(z2, G.eval_rational({"y1": 1})) == 2
     with pytest.raises(PolyError):
         fulton_condition_polynomials(z2 * (z1 - y1 * z2), z2 * G)
+
+
+ZPAIR = ("z1", "z2")
+
+
+def _shift_origin_to(p, point):
+    """p(z1 - a, z2 - b): the polynomial whose behaviour at (a, b) is that of p at the origin."""
+    for var, c in zip(ZPAIR, point):
+        p = p.subs_poly(var, SparsePoly.variable(var) - SparsePoly.constant(c))
+    return p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(*[st.builds(SparsePoly.__add__, polys_in(ZPAIR, max_deg=1, max_terms=3),
+                    polys_in(ZPAIR, max_deg=3, max_terms=4)).filter(lambda p: len(p.terms) >= 3)] * 2,
+       polys_in(ZPAIR, max_deg=2, max_terms=3), st.sampled_from(["both", "both", "F", "none"]),
+       st.sampled_from(["plain", "plain", "plain", "plain", "plant", "zero F", "zero G"]),
+       st.tuples(*[st.builds(F, st.integers(-5, 5), st.integers(1, 4))] * 2))
+def test_integer_fulton_matches_the_sparse_recursion(Fl, Gl, h, through_origin, case, point):
+    # the integer route at a rational point equals the parameter-free
+    # SparsePoly recursion on the curves moved so that the point is the origin
+    def at_origin(p):
+        return SparsePoly.constant(p.eval_rational({"z1": 0, "z2": 0}).constant_value())
+
+    if through_origin != "none":
+        Fl = Fl - at_origin(Fl)
+    if through_origin == "both":
+        Gl = Gl - at_origin(Gl)
+    if case == "plant":  # a common factor through the origin
+        h = h - at_origin(h)
+        Fl, Gl = Fl * h, Gl * h
+    elif case == "zero F":
+        Fl = SparsePoly.zero()
+    elif case == "zero G":
+        Gl = SparsePoly.zero()
+    expected = _fulton(Fl, Gl, ZPAIR, None)[0]
+    assert fulton_multiplicity(_shift_origin_to(Fl, point), _shift_origin_to(Gl, point), point=point) == expected
+    assert fulton_multiplicity(Fl, Gl) == expected
+
+
+def test_integer_fulton_pins_the_shared_component_exits():
+    point = (F(1, 2), F(-2, 3))
+    u, v = (_shift_origin_to(z, point) for z in (z1, z2))
+    # both vanish at the point and share the line u = v through it: the
+    # resultant certificate fails and the gcd decides
+    assert fulton_multiplicity((u - v) * (u + 2), (u - v) * (v + 3), point=point) == FULTON_INFINITY
+    # sharing u + 2, which misses the point, leaves the multiplicity finite
+    assert fulton_multiplicity((u + 2) * v, (u + 2) * (v - u ** 2), point=point) == 2
+    # a zero operand: infinite on the other curve, 0 off it
+    assert fulton_multiplicity(u * v + u ** 3, SparsePoly.zero(), point=point) == FULTON_INFINITY
+    assert fulton_multiplicity(SparsePoly.zero(), u + 1, point=point) == 0
+
+
+def test_integer_fulton_raises_typed_errors():
+    # a negative exponent, and variables outside the pair
+    for Fp in (SparsePoly.monomial({"z1": -1}) + z2, z1 + y1 * z2, x1):
+        with pytest.raises(PolyError, match="not a polynomial in"):
+            fulton_multiplicity(Fp, z1)
 
 
 # (F, G, resultant certificate holds, _fulton result): a shared factor of
