@@ -45,12 +45,11 @@ from .polytope import (
     _face_contains_origin,
 )
 from .realroots import (
-    SHEAR_CANDIDATES,
     ShearError,
     compare,
+    first_shear,
     isolate_real_roots,
     sheared_resultant,
-    _shear,
 )
 
 FIELD_REAL = "R"
@@ -147,34 +146,18 @@ def _edge_parameter_direction(edge: EdgeRecord) -> tuple[int, int]:
 
 def _restricted_coefficients(f: SparsePoly, face, e: tuple[int, int]) -> list[Fraction]:
     """Coefficients a_0..a_k of f restricted to the face, along direction e."""
-    pts = list(face)
-    if len(pts) == 1:
-        base = pts[0]
-        steps = 0
-    else:
-        k0 = pts[0][0] * e[0] + pts[0][1] * e[1]
-        k1 = pts[1][0] * e[0] + pts[1][1] * e[1]
-        if k0 > k1:
-            pts = [pts[1], pts[0]]
-        base = pts[0]
-        span = (pts[1][0] - pts[0][0], pts[1][1] - pts[0][1])
-        steps = span[0] // e[0] if e[0] != 0 else span[1] // e[1]
-        if steps < 1 or (span[0] != steps * e[0]) or (span[1] != steps * e[1]):
-            raise PolyError("face not aligned with the parameter direction")
+    pts = sorted(face, key=lambda p: p[0] * e[0] + p[1] * e[1])
+    base = pts[0]
+    span = (pts[-1][0] - base[0], pts[-1][1] - base[1])
+    steps = span[0] // e[0] if e[0] != 0 else span[1] // e[1]
+    if len(pts) > 1 and (steps < 1 or span != (steps * e[0], steps * e[1])):
+        raise PolyError("face not aligned with the parameter direction")
+    step_of = {(base[0] + j * e[0], base[1] + j * e[1]): j for j in range(steps + 1)}
     coeffs = [QQ(0)] * (steps + 1)
     i1, i2 = f._idx("x1"), f._idx("x2")
     for exps, c in f.terms.items():
-        p = (exps[i1], exps[i2])
-        rel = (p[0] - base[0], p[1] - base[1])
-        # p = base + j*e for integer j in range?
-        j = None
-        if e[0] != 0 and rel[0] % e[0] == 0:
-            jj = rel[0] // e[0]
-            if rel == (jj * e[0], jj * e[1]):
-                j = jj
-        elif e[0] == 0 and rel[0] == 0 and e[1] != 0 and rel[1] % e[1] == 0:
-            j = rel[1] // e[1]
-        if j is not None and 0 <= j <= steps:
+        j = step_of.get((exps[i1], exps[i2]))
+        if j is not None:
             coeffs[j] += c
     if coeffs[0] == 0:
         raise PolyError("face base vertex carries no coefficient")
@@ -447,14 +430,14 @@ def generic_fiber_size(f1: SparsePoly, f2: SparsePoly, seed: int = 0) -> int:
         F2 = f2 - SparsePoly.constant(q2, f1.vars)
         if not gcd_multivar(F1, F2).is_constant():
             continue
-        for s in SHEAR_CANDIDATES:
-            try:
-                R, factors = sheared_resultant(_shear(F1, s), _shear(F2, s))
-            except ShearError:
-                continue
-            if R.is_constant() or any(mult > 1 for _, mult in factors):
-                continue  # generic fibers are nonempty and simple; resample
-            return R.degree("x1")
+        try:
+            R, factors = first_shear(F1, F2, sheared_resultant)
+        except ShearError:
+            continue
+        # generic fibers are nonempty and simple, under every certified shear
+        if R.is_constant() or any(mult > 1 for _, mult in factors):
+            continue
+        return R.degree("x1")
     raise PolyError("could not certify a generic fiber")
 
 

@@ -170,30 +170,6 @@ def ext_exact_div(p: SparsePoly, q: SparsePoly, ctx: ExtContext) -> SparsePoly:
     return ctx.reduce(quo * inv)
 
 
-def ext_squarefree_decomposition(p: SparsePoly, main: str, ctx: ExtContext) -> list[tuple[SparsePoly, int]]:
-    """Yun decomposition of p in (Q[a]/(m))[main]; factors as :func:`ext_monic`
-    makes them.  May raise :class:`ZeroDivisor`."""
-    p = ctx.reduce(p)
-    if p.is_zero():
-        raise PolyError("zero polynomial")
-    if p.degree(main) < 1:
-        return []
-    dp = ctx.reduce(p.derivative(main))
-    g = ext_gcd_multivar(p, dp, ctx)
-    out: list[tuple[SparsePoly, int]] = []
-    c = ext_exact_div(p, g, ctx)
-    d = ctx.reduce(ext_exact_div(dp, g, ctx) - c.derivative(main))
-    i = 1
-    while c.degree(main) > 0:
-        a = ext_gcd_multivar(c, d, ctx)
-        if a.degree(main) > 0:
-            out.append((a, i))
-        c = ext_exact_div(c, a, ctx)
-        d = ctx.reduce(ext_exact_div(d, a, ctx) - c.derivative(main))
-        i += 1
-    return out
-
-
 def ext_content_wrt(p: SparsePoly, inner_vars, ctx: ExtContext) -> tuple[SparsePoly, SparsePoly]:
     """Split p = content * primitive over Q[a]/(m) with content in ``inner_vars``.
 

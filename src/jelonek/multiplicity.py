@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -40,6 +40,7 @@ from .poly import (
 )
 from .realroots import (
     RealAlgebraic,
+    at_root,
     cauchy_bound,
     compare,
     count_real_solutions,
@@ -50,7 +51,6 @@ from .realroots import (
     real_roots,
     sign_at_dense,
     _root_in,
-    _select_modulus_factor,
 )
 
 # the intersection multiplicity of curves that share a component through the point
@@ -409,40 +409,21 @@ def _strip_parameter_content(p: SparsePoly, zvars, ctx: ExtContext | None) -> Sp
 
 
 def _shift_to_rho(g1: SparsePoly, g2: SparsePoly, rho: RealAlgebraic):
-    """g1, g2 with z1 -> z1 + rho, and the modulus of rho in ``a``.
-
-    For rational rho the shift is by the rational value and the modulus is
-    None; otherwise rho is written as ``a``, a root of its minimal polynomial.
-    """
+    """g1, g2 with z1 -> z1 + rho; an irrational rho is written as ``a``,
+    the root of the modulus that :func:`at_root` holds."""
     z1 = SparsePoly.variable("z1", g1.vars)
     if rho.is_rational():
-        modulus = None
         shift = z1 + SparsePoly.constant(rho.as_fraction(), g1.vars)
     else:
-        modulus = from_dense(rho.dense, "a", g1.vars)
         shift = z1 + SparsePoly.variable("a", g1.vars)
-    return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift), modulus
-
-
-def _at_rho(modulus: SparsePoly | None, rho: RealAlgebraic, compute):
-    """``(modulus, compute(ctx))`` with ctx the arithmetic of Q(rho).
-
-    ctx is None when ``modulus`` is None (rational rho), else Q[a]/(modulus);
-    a zero divisor narrows the modulus to the factor that holds rho, and the
-    computation reruns there.
-    """
-    while True:
-        try:
-            return modulus, compute(ExtContext(modulus, "a") if modulus is not None else None)
-        except ZeroDivisor as zd:
-            modulus = _select_modulus_factor(zd.factor, modulus, "a", rho)
+    return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift)
 
 
 def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     """Multiplicity-set components for one boundary root via the symbolic
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
-    G1, G2, modulus = _shift_to_rho(sys.g1, sys.g2, rho)
-    modulus, (_, conds) = _at_rho(modulus, rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+    G1, G2 = _shift_to_rho(sys.g1, sys.g2, rho)
+    modulus, (_, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx), variables=G1.vars)
     out = []
     for c in conds:
         if modulus is None:
@@ -520,8 +501,8 @@ def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction
     g1, g2 = sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt)
     if rho.is_rational():
         return fulton_multiplicity(g1, g2, point=(rho.as_fraction(), 0))
-    G1, G2, modulus = _shift_to_rho(g1, g2, rho)
-    return _at_rho(modulus, rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx))[1]
+    G1, G2 = _shift_to_rho(g1, g2, rho)
+    return at_root(rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx), variables=G1.vars)[1]
 
 
 def _find_rational_point_on(J: SparsePoly, rng: random.Random) -> tuple[Fraction, Fraction] | None:
@@ -762,19 +743,10 @@ def _verdict_at_point(f1: SparsePoly, f2: SparsePoly, line: _ScanLine, p_free: R
     crossings = obstacles + [r for r in own_roots if compare(r, p_free) != 0]
     left = [r for r in crossings if compare(r, p_free) < 0]
     right = [r for r in crossings if compare(r, p_free) > 0]
-    q_side = []
-    for side, pool in (("-", left), ("+", right)):
-        if pool:
-            nearest = pool[0]
-            for r in pool[1:]:
-                if (side == "-" and compare(r, nearest) > 0) or (side == "+" and compare(r, nearest) < 0):
-                    nearest = r
-            q_free = rational_between(nearest, p_free)
-        else:
-            probe = p_free.refined(QQ(1, 16))
-            q_free = probe.lo - 1 if side == "-" else probe.hi + 1
-        q_side.append(q_free)
-    q_minus, q_plus = q_side
+    probe = p_free.refined(QQ(1, 16))
+    # the nearest crossing on each side; on ties max and min keep the first
+    q_minus = rational_between(max(left, key=cmp_to_key(compare)), p_free) if left else probe.lo - 1
+    q_plus = rational_between(min(right, key=cmp_to_key(compare)), p_free) if right else probe.hi + 1
 
     def full_point(free_value: Fraction) -> tuple[Fraction, Fraction]:
         if line.fixed_var == "y2":

@@ -18,7 +18,10 @@ sheared coordinate generic enough that every fiber over a resultant root
 carries exactly one solution; the shear is certified through the first
 subresultant, never assumed (:func:`sheared_resultant`).  The counts are
 the numbers of Descartes isolating intervals of the resultant's squarefree
-factors, weighted by multiplicity; no root is built as a number.
+factors, weighted by multiplicity; no root is built as a number.  At a
+real algebraic parameter value alpha they are Sturm counts over Q[a]/(m)
+(:func:`sturm_count_ext`), with m narrowed to the factor that holds alpha
+(:func:`at_root`).  :func:`first_shear` is the one loop over the shears.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from .extension import (
     divmod_univar,
     ext_gcd_multivar,
     ext_monic,
-    ext_squarefree_decomposition,
     split_minpoly,
 )
 from .poly import (
+    DEFAULT_VARS,
     PolyError,
     QQ,
     SparsePoly,
@@ -356,36 +359,35 @@ def _extract_rational(alpha: RealAlgebraic) -> Fraction | None:
 # -- Sturm counting over a simple extension ----------------------------------
 
 
-def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebraic) -> int:
-    """Number of distinct real roots of squarefree p in (Q[a]/(m))[main] at a = alpha."""
+def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebraic) -> tuple[int, int]:
+    """(distinct, with multiplicity) real roots of p in (Q[a]/(m))[main] at a = alpha.
+
+    Sturm's sequence of p counts its distinct real roots and ends at
+    gcd(p, p'), which holds each root of p one time fewer; so the counts of
+    the chain p, gcd(p, p'), ... sum to the count with multiplicity.  A
+    leading coefficient that vanishes at alpha raises :class:`ZeroDivisor`.
+    """
+    counts = []
     p = ext_monic(p, ctx)
-    if p.is_zero() or p.degree(main) == 0:
-        return 0
-    seq = [p, ctx.reduce(p.derivative(main))]
-    while not seq[-1].is_zero() and seq[-1].degree(main) > 0:
-        _, r = divmod_univar(seq[-2], seq[-1], main, ctx)
-        seq.append(ctx.reduce(-r))
-    if seq[-1].is_zero():
-        seq.pop()
-
-    def sig(elem: SparsePoly) -> int:
-        if elem.is_zero():
-            return 0
-        if elem.is_constant():
-            c = elem.constant_value()
-            return (c > 0) - (c < 0)
-        return sign_at_dense(dense_int(elem, ctx.var), alpha)
-
-    plus, minus = [], []
-    for f in seq:
-        d = f.degree(main)
-        lc = f.coeff_of(main, d) if d >= 0 else SparsePoly.zero(f.vars)
-        s = sig(lc)
-        if s == 0:
-            raise ZeroDivisor(gcd_multivar(lc, ctx.minpoly))
-        plus.append(s)
-        minus.append(s if d % 2 == 0 else -s)
-    return _sign_changes(minus) - _sign_changes(plus)
+    while p.degree(main) > 0:
+        seq = [p, ctx.reduce(p.derivative(main))]
+        while seq[-1].degree(main) > 0:
+            _, r = divmod_univar(seq[-2], seq[-1], main, ctx)
+            seq.append(ctx.reduce(-r))
+        if seq[-1].is_zero():
+            seq.pop()
+        plus, minus = [], []
+        for f in seq:
+            d = f.degree(main)
+            lc = f.coeff_of(main, d)
+            s = sign_at_dense(dense_int(lc, ctx.var), alpha)
+            if s == 0:
+                raise ZeroDivisor(gcd_multivar(lc, ctx.minpoly))
+            plus.append(s)
+            minus.append(s if d % 2 == 0 else -s)
+        counts.append(_sign_changes(minus) - _sign_changes(plus))
+        p = seq[-1]
+    return (counts[0] if counts else 0), sum(counts)
 
 
 def _sign_changes(values: Sequence) -> int:
@@ -410,6 +412,18 @@ def _shear(p: SparsePoly, s: int) -> SparsePoly:
     return p.subs_poly("x1", x1 + SparsePoly.constant(s, p.vars) * x2)
 
 
+def first_shear(f1: SparsePoly, f2: SparsePoly, attempt):
+    """``attempt(F1, F2)`` on the first shear x1 -> x1 + s*x2 of
+    ``SHEAR_CANDIDATES`` at which it raises no :class:`ShearError`."""
+    last_error = None
+    for s in SHEAR_CANDIDATES:
+        try:
+            return attempt(_shear(f1, s), _shear(f2, s))
+        except ShearError as e:
+            last_error = e
+    raise ShearError(f"no generic shear found: {last_error}")
+
+
 def count_real_solutions(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
     """(distinct, with multiplicity) real solutions of f1 = f2 = 0 in R^2.
 
@@ -423,13 +437,7 @@ def count_real_solutions(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:
         raise PolyError("not zero-dimensional")
     if f1.is_constant() or f2.is_constant():
         return 0, 0
-    last_error = None
-    for s in SHEAR_CANDIDATES:
-        try:
-            return _count_sheared(_shear(f1, s), _shear(f2, s))
-        except ShearError as e:
-            last_error = e
-    raise PolyError(f"no generic shear found: {last_error}")
+    return first_shear(f1, f2, _count_sheared)
 
 
 def _check_x2_leading(F1: SparsePoly, F2: SparsePoly) -> None:
@@ -482,6 +490,25 @@ def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
     return distinct, with_mult
 
 
+def at_root(alpha: RealAlgebraic, compute, var: str = "a", variables=DEFAULT_VARS):
+    """``(modulus, compute(ctx))`` with ctx the arithmetic of Q(alpha).
+
+    For rational alpha both are None.  Otherwise alpha is ``var``, a root
+    of the modulus, which starts as alpha's dense form; a zero divisor
+    narrows the modulus to the factor that holds alpha, and the computation
+    reruns there.
+    """
+    if alpha.is_rational():
+        return None, compute(None)
+    modulus = from_dense(alpha.dense, var, variables)
+    while True:
+        try:
+            return modulus, compute(ExtContext(modulus, var))
+        except ZeroDivisor as zd:
+            f, co = split_minpoly(modulus, zd.factor)
+            modulus = f if _root_in(dense_int(f, var), alpha.lo, alpha.hi) else co
+
+
 def count_real_solutions_param(f1: SparsePoly, f2: SparsePoly, pvar: str, alpha: RealAlgebraic) -> tuple[int, int]:
     """Real-solution counts for a system with one algebraic parameter value.
 
@@ -490,27 +517,13 @@ def count_real_solutions_param(f1: SparsePoly, f2: SparsePoly, pvar: str, alpha:
     if alpha.is_rational():
         r = alpha.as_fraction()
         return count_real_solutions(f1.eval_rational({pvar: r}), f2.eval_rational({pvar: r}))
-    minpoly = from_dense(alpha.dense, pvar, f1.vars)
-    last_error: Exception | None = None
-    for s in SHEAR_CANDIDATES:
-        try:
-            return _count_sheared_param(_shear(f1, s), _shear(f2, s), pvar, alpha, minpoly)
-        except ShearError as e:
-            last_error = e
-        except ZeroDivisor as zd:
-            minpoly = _select_modulus_factor(zd.factor, minpoly, pvar, alpha)
-    raise PolyError(f"no generic shear found: {last_error}")
+    return at_root(alpha, lambda ctx: first_shear(f1, f2, lambda F1, F2: _count_sheared_param(F1, F2, ctx, alpha)),
+                   pvar, f1.vars)[1]
 
 
-def _select_modulus_factor(factor: SparsePoly, minpoly: SparsePoly, pvar: str, alpha: RealAlgebraic) -> SparsePoly:
-    f, co = split_minpoly(minpoly, factor)
-    return f if _root_in(dense_int(f, pvar), alpha.lo, alpha.hi) else co
-
-
-def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealAlgebraic, minpoly: SparsePoly) -> tuple[int, int]:
+def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, ctx: ExtContext, alpha: RealAlgebraic) -> tuple[int, int]:
     _check_x2_leading(F1, F2)
     R, penult = resultant_and_penultimate(F1, F2, "x2")
-    ctx = ExtContext(minpoly, pvar)
     R = ctx.reduce(R)
     if R.is_zero():
         raise PolyError("system degenerate at the parameter value")
@@ -521,23 +534,12 @@ def _count_sheared_param(F1: SparsePoly, F2: SparsePoly, pvar: str, alpha: RealA
     c1 = ctx.reduce(penult.coeff_of("x2", 1))
     if c1.is_zero():
         raise ShearError("vanishing subresultant")
-    factors = ext_squarefree_decomposition(R, "x1", ctx)
-    # certify: no common root of the squarefree part and the first subresultant
+    # certify: no common root of R and the first subresultant
     if c1.degree("x1") > 0:
-        sf = SparsePoly.constant(1, R.vars)
-        for f, _ in factors:
-            sf = ctx.reduce(sf * f)
-        g = ext_gcd_multivar(sf, c1, ctx)
-        if g.degree("x1") > 0:
+        if ext_gcd_multivar(R, c1, ctx).degree("x1") > 0:
             raise ShearError("fiber degeneracy at a resultant root")
     elif not c1.is_constant():
         # x1-free but parameter-dependent: must not vanish at alpha
-        if sign_at_dense(dense_int(c1, pvar), alpha) == 0:
+        if sign_at_dense(dense_int(c1, ctx.var), alpha) == 0:
             raise ShearError("first subresultant vanishes at the parameter")
-    distinct = 0
-    with_mult = 0
-    for f, mult in factors:
-        n = sturm_count_ext(f, "x1", ctx, alpha)
-        distinct += n
-        with_mult += n * mult
-    return distinct, with_mult
+    return sturm_count_ext(R, "x1", ctx, alpha)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelonek.poly import PolyError, SparsePoly, dense_int, dense_squarefree, from_dense, gcd_multivar
+from jelonek.poly import PolyError, SparsePoly, dense_int, gcd_multivar
 from jelonek.extension import (
     ExtContext,
     ZeroDivisor,
@@ -13,10 +13,9 @@ from jelonek.extension import (
     ext_exact_div,
     ext_gcd_multivar,
     ext_monic,
-    ext_squarefree_decomposition,
     with_dynamic_splitting,
 )
-from jelonek.realroots import count_real_solutions_param, isolate_real_roots
+from jelonek.realroots import RealAlgebraic, at_root, count_real_solutions_param, isolate_real_roots, sturm_count_ext
 from strategies import polys_in
 
 a = SparsePoly.variable("a")
@@ -104,17 +103,14 @@ def test_gcd_mod_minpoly_splits():
     assert got_nontrivial[0] == (y1 - 1).normalized()
 
 
-def test_ext_squarefree_decomposition():
+def test_sturm_count_ext_counts_multiplicities():
+    # the double root z1 = a and the simple root z1 = -1, at both roots of the modulus
     ctx = ExtContext(a ** 2 - 2)
     p = (z1 - a) ** 2 * (z1 + 1)
-    dec = ext_squarefree_decomposition(p, "z1", ctx)
-    assert sorted(m for _, m in dec) == [1, 2]
-    rebuilt = SparsePoly.constant(1)
-    for f, m in dec:
-        rebuilt = ctx.reduce(rebuilt * f ** m)
-    # rebuilt is monic and proportional to p over the extension
-    lead = p.coeff_of("z1", 3)
-    assert ctx.reduce(rebuilt * lead - p).is_zero()
+    roots = [alpha for alpha, _ in isolate_real_roots(a ** 2 - 2, "a")]
+    assert len(roots) == 2
+    for alpha in roots:
+        assert sturm_count_ext(p, "z1", ctx, alpha) == (2, 3)
 
 
 def test_ext_gcd_multivar_bivariate():
@@ -211,46 +207,43 @@ def _modulus(roots):
     return m
 
 
-def _normalized_decomposition(dec):
-    return sorted((str(f.normalized()), k) for f, k in dec)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(polys_in(["x1", "a"]), polys_in(["x1", "a"]), polys_in(["x1", "a"]), st.integers(1, 2),
        st.lists(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1, 3), Fraction(5, 2)]),
                 min_size=2, max_size=2, unique=True))
-def test_ext_squarefree_decomposition_matches_rational_at_each_root(g0, u1, v, k, roots):
-    """Under m = (a - r1)(a - r2), each branch of the decomposition of p,
-    taken at each root r of the branch, is the rational decomposition of p
-    at a = r.  At r1, p = g0 * v^(k+1) gains a multiplicity."""
+def test_sturm_count_ext_matches_rational_at_each_root(g0, u1, v, k, roots):
+    """At each root r of m = (a - r1)(a - r2), the count over the modulus
+    that at_root keeps is the (distinct, with multiplicity) real-root count
+    of p at a = r.  At r1, p = g0 * v^(k+1) gains a multiplicity."""
     p = v ** k * (g0 * v + (a - SparsePoly.constant(roots[0])) * u1)
     if any(p.eval_rational({"a": r}).is_zero() for r in roots):
         return
-    out = with_dynamic_splitting(_modulus(roots), "a",
-                                 lambda ctx: ext_squarefree_decomposition(p, "x1", ctx))
-    for f, dec in out:
-        for r in roots:
-            if f.eval_rational({"a": r}).is_zero():
-                at_r = [(g.eval_rational({"a": r}), m) for g, m in dec]
-                assert (_normalized_decomposition(at_r)
-                        == _normalized_decomposition(
-                            [(from_dense(g, "x1"), m)
-                             for g, m in dense_squarefree(dense_int(p.eval_rational({"a": r}), "x1"))]))
+    m = dense_int(_modulus(roots), "a")
+    for r in roots:
+        alpha = RealAlgebraic(m, r - Fraction(1, 8), r + Fraction(1, 8))
+        modulus, counts = at_root(alpha, lambda ctx: sturm_count_ext(p, "x1", ctx, alpha))
+        assert modulus.eval_rational({"a": r}).is_zero()
+        rational = isolate_real_roots(p.eval_rational({"a": r}), "x1")
+        assert counts == (len(rational), sum(mult for _, mult in rational))
 
 
 # a cubic and a linear factor that share the root x1 = -1 when a = 1 and
-# x1 = 0 when a = 2; the squarefree decomposition differs per branch
+# x1 = 0 when a = 2; the squarefree decomposition differs per branch:
+# (x1^2 - 1)^2 at a = 1 and (x1 - 2) * x1^3 at a = 2
 A = x1 ** 3 - x1 ** 2 * a + x1 * a + a ** 2 - 2 * x1 - 4 * a + 4
 H = -x1 + a - 2
 
 
-def test_ext_squarefree_decomposition_splits_reducible_modulus():
-    out = with_dynamic_splitting(a ** 2 - 3 * a + 2, "a",
-                                 lambda ctx: ext_squarefree_decomposition(A * H, "x1", ctx))
-    assert [(str(f), [(str(g), m) for g, m in dec]) for f, dec in out] == [
-        ("a - 1", [("x1^2 - 1", 2)]),
-        ("a - 2", [("x1 - 2", 1), ("x1", 3)]),
-    ]
+def test_sturm_count_ext_narrows_a_reducible_modulus():
+    # the chain's second Sturm sequence ends at a multiple of a - 2, a zero
+    # divisor that vanishes on the branch a = 2 only: there the modulus
+    # narrows to a - 2
+    for lo, hi, kept in ((Fraction(1, 2), Fraction(3, 2), a ** 2 - 3 * a + 2),
+                         (Fraction(3, 2), Fraction(5, 2), a - 2)):
+        alpha = RealAlgebraic([2, -3, 1], lo, hi)  # a root of a^2 - 3a + 2
+        modulus, counts = at_root(alpha, lambda ctx: sturm_count_ext(A * H, "x1", ctx, alpha))
+        assert modulus == kept
+        assert counts == (2, 4)
 
 
 @pytest.mark.parametrize("minpoly", [w ** 2 - 2, (w ** 2 - 2) * (w ** 2 - 3)], ids=["minimal", "reducible"])

@@ -32,7 +32,6 @@ from jelonek.multiplicity import (
     ms_fulton_all,
     ms_resultant,
     norm_form,
-    _at_rho,
     _critical_box_bound,
     _eval_possibly_ext,
     _find_rational_point_on,
@@ -44,7 +43,7 @@ from jelonek.multiplicity import (
     _ScanLine,
     _shift_to_rho,
 )
-from jelonek.realroots import isolate_real_roots, rational_roots, real_roots, sign_at_dense
+from jelonek.realroots import at_root, isolate_real_roots, rational_roots, real_roots, sign_at_dense
 
 x1 = SparsePoly.variable("x1")
 x2 = SparsePoly.variable("x2")
@@ -316,9 +315,8 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
                 continue
             for factor, _ in dense_squarefree(dense_int(sys.g, "z1")):
                 for rho in real_roots(factor):
-                    G1, G2, modulus = _shift_to_rho(sys.g1, sys.g2, rho)
-                    _, (mult, conds) = _at_rho(
-                        modulus, rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+                    G1, G2 = _shift_to_rho(sys.g1, sys.g2, rho)
+                    _, (mult, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
                     for _ in range(6):
                         pt = (F(rng.randrange(-40, 41), rng.randrange(1, 6)),
                               F(rng.randrange(-40, 41), rng.randrange(1, 6)))
@@ -348,7 +346,7 @@ def test_at_rho_narrows_the_modulus_to_the_factor_holding_rho():
             raise ZeroDivisor(a ** 2 - 2)
         return "done"
 
-    assert _at_rho(modulus, sqrt3, compute) == ((a ** 2 - 3).normalized(), "done")
+    assert at_root(sqrt3, compute) == ((a ** 2 - 3).normalized(), "done")
     assert calls == [modulus, (a ** 2 - 3).normalized()]
 
 

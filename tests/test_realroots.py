@@ -368,6 +368,27 @@ def test_count_param_fiber_certificate_rejects_a_colliding_shear():
     assert count_real_solutions_param(f1, f2, "w", sqrt2) == (2, 2)
 
 
+# a root of w^2 - 2 or w^3 - w - 1: the three real roots by index
+_ALPHAS = [r for m in (w ** 2 - 2, w ** 3 - w - 1) for r, _ in isolate_real_roots(m, "w")]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, len(_ALPHAS) - 1),
+       st.lists(st.tuples(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), st.integers(1, 3)),
+                min_size=1, max_size=3, unique_by=lambda rm: rm[0]),
+       polys_in(["x1"]), polys_in(["x1", "w"]))
+def test_count_param_known_answer_at_an_irrational_parameter(i, roots, c, h):
+    """x2 = c(x1) meets prod (x1 - r_i)^m_i * (x1^2 + 1) + m(w) h, with m
+    the dense form of alpha, in one real point of multiplicity m_i over
+    each r_i.  h has x1-degree below the product's, so every sheared F2
+    keeps a constant leading coefficient in x2."""
+    alpha = _ALPHAS[i]
+    product = prod(((x1 - r) ** k for r, k in roots), start=x1 ** 2 + 1)
+    F1 = x2 - c
+    F2 = product + from_dense(alpha.dense, "w") * h
+    assert count_real_solutions_param(F1, F2, "w", alpha) == (len(roots), sum(k for _, k in roots))
+
+
 def test_sheared_resultant_certified():
     # x2^2 = x1 and x1*x2 + x1 - 1 = 0: three solutions over distinct x1;
     # the penultimate subresultant is x1*x2 + x1 - 1, whose c1 = x1 is
