@@ -26,6 +26,10 @@ the same sign at every point, which is all root isolation, sign tests and
 univariate gcds need; :func:`dense_gcd` runs the primitive PRS on it,
 :func:`dense_squarefree` is the one squarefree decomposition over Q, and
 :func:`from_dense` turns a coefficient list back into a ``SparsePoly``.
+The one-variable work inside the multivariate routines runs on this form
+too: ``squarefree_part_multivar`` of a univariate polynomial, and
+``content_wrt`` when one inner variable occurs (one dense row per outer
+monomial, gcd by ``dense_gcd``, division by the dense exact quotient).
 """
 
 from __future__ import annotations
@@ -795,13 +799,52 @@ def content_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> tuple[SparsePoly, S
     The polynomial is viewed in the complementary (outer) variables with
     coefficients in the inner ring; the content is the gcd of those
     coefficients, normalized integer-primitive with positive leading
-    coefficient.
+    coefficient.  When one inner variable occurs in p, the coefficients are
+    univariate and the split runs on dense forms (:func:`_content_in_one_var`).
     """
     if p.is_zero():
         raise PolyError("zero polynomial")
-    content = _content_of_coeffs(coeffs_wrt(p, inner_vars))
+    inner = set(inner_vars)
+    occurring = p.vars_present() & inner
+    if len(occurring) == 1:
+        return _content_in_one_var(p, p._idx(occurring.pop()))
+    content = _content_of_coeffs(coeffs_wrt(p, inner))
     primitive = exact_div(p, content)
     return content, primitive
+
+
+def _content_in_one_var(p: SparsePoly, i: int) -> tuple[SparsePoly, SparsePoly]:
+    """content_wrt of p over the ring of the variable v of index i.
+
+    With lo the least exponent of v in p, each outer monomial's coefficient
+    divided by v^lo is a row s * R: R a primitive dense form, s rational.
+    The content is v^lo times the gcd g of the rows R, and the primitive
+    part carries s * R / g at each outer monomial.  The rows must be
+    primitive: ``dense_gcd`` returns an operand that divides the other as
+    it is, so a row with an integer factor would put it into g.
+    """
+    lo = min(e[i] for e in p.terms)
+    grouped: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    for e, c in p.terms.items():
+        grouped.setdefault(e[:i] + (0,) + e[i + 1:], {})[e[i] - lo] = c
+    rows = [(outer, *_primitive_row(row)) for outer, row in grouped.items()]
+    rows.sort(key=lambda row: len(row[2]))
+    g = rows[0][2] if rows[0][2][-1] > 0 else [-c for c in rows[0][2]]
+    for _, _, dense in rows[1:]:
+        if len(g) == 1:
+            break
+        g = dense_gcd(g, dense)
+    content: dict[tuple[int, ...], Fraction] = {}
+    zero = (0,) * len(p.vars)
+    for k, c in enumerate(g):
+        if c:
+            content[zero[:i] + (k + lo,) + zero[i + 1:]] = QQ(c)
+    primitive: dict[tuple[int, ...], Fraction] = {}
+    for outer, s, dense in rows:
+        for k, c in enumerate(dense if len(g) == 1 else _dense_quo(dense, g)):
+            if c:
+                primitive[outer[:i] + (k,) + outer[i + 1:]] = s * c
+    return SparsePoly(content, p.vars), SparsePoly(primitive, p.vars)
 
 
 def coeffs_wrt(p: SparsePoly, inner_vars: Iterable[str]) -> list[SparsePoly]:
@@ -837,12 +880,17 @@ def dense_int(p: SparsePoly, var: str) -> list[int]:
         return []
     if any(exps[i] < 0 for exps in p.terms):
         raise PolyError("negative exponents")
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    out = [0] * (p.degree(var) + 1)
-    for exps, c in p.terms.items():
-        out[exps[i]] = c.numerator * (den // c.denominator)
+    return _primitive_row({exps[i]: c for exps, c in p.terms.items()})[1]
+
+
+def _primitive_row(row: Mapping[int, Fraction]) -> tuple[Fraction, list[int]]:
+    """(s, R) with sum row[k] v^k = s * R(v): R the dense form, s > 0."""
+    den = lcm(*(c.denominator for c in row.values()))
+    out = [0] * (max(row) + 1)
+    for k, c in row.items():
+        out[k] = c.numerator * (den // c.denominator)
     g = int_gcd(*out)
-    return [c // g for c in out] if g > 1 else out
+    return QQ(g, den), [c // g for c in out] if g > 1 else out
 
 
 def from_dense(coeffs: Sequence, var: str, variables: Sequence[str] = DEFAULT_VARS) -> SparsePoly:
@@ -903,6 +951,13 @@ def _dense_quo(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [q.get(k, 0) for k in range(hi + 1)]
 
 
+def _repeated_part(p: Sequence[int]) -> list[int]:
+    """gcd(p, p') of a nonconstant dense form, by ``dense_gcd`` with p'
+    made primitive first."""
+    d = [k * c for k, c in enumerate(p)][1:]
+    return dense_gcd(p, [c // int_gcd(*d) for c in d])
+
+
 def dense_squarefree(p: Sequence[int]) -> list[tuple[list[int], int]]:
     """Squarefree decomposition [(factor, multiplicity), ...] of a nonzero
     dense form, by ascending multiplicity.
@@ -918,8 +973,7 @@ def dense_squarefree(p: Sequence[int]) -> list[tuple[list[int], int]]:
         return []
     if p[-1] < 0:
         p = [-c for c in p]
-    d = [k * c for k, c in enumerate(p)][1:]
-    g = dense_gcd(p, [c // int_gcd(*d) for c in d])
+    g = _repeated_part(p)
     c = _dense_quo(p, g)
     out: list[tuple[list[int], int]] = []
     k = 1
@@ -996,6 +1050,7 @@ def squarefree_part_multivar(p: SparsePoly) -> SparsePoly:
     nonzero Res_v(prim, d prim/dv) certifies prim squarefree, else the last
     nonzero subresultant of that engine pass is a Q[W]-multiple of the gcd,
     and its primitive part is divided out.  cont, coprime to prim, recurses.
+    With v the only variable, p's dense form d gives d / gcd(d, d').
     """
     if p.is_zero():
         raise PolyError("zero polynomial")
@@ -1006,6 +1061,10 @@ def squarefree_part_multivar(p: SparsePoly) -> SparsePoly:
     if any(min(exps) < 0 for exps in p.terms):
         raise PolyError("negative exponents")
     v, inner = active[-1], active[:-1]
+    if not inner:
+        d = dense_int(p, v)
+        q = _dense_quo(d, _repeated_part(d))
+        return from_dense(q if q[-1] > 0 else [-c for c in q], v, p.vars)
     cont, prim = content_wrt(p, inner)
     if prim.degree(v) >= 2:
         res, sub = resultant_and_penultimate(prim, prim.derivative(v), v)

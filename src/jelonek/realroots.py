@@ -280,7 +280,9 @@ def _root_in(g: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
 
 
 def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
-    """A rational strictly between two distinct real algebraic numbers."""
+    """A rational strictly between two distinct real algebraic numbers: the
+    one of least denominator, and of least absolute value among those, in
+    the open gap between their refined isolating intervals."""
     if compare(a, b) > 0:
         a, b = b, a
     x, y = a, b
@@ -289,7 +291,34 @@ def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
         y = y.refined(y.width() / 4 if y.width() > 0 else QQ(1))
         if x.lo == x.hi and y.lo == y.hi and x.lo == y.lo:
             raise PolyError("numbers are equal")
-    return (x.hi + y.lo) / 2
+    if x.hi < 0 < y.lo:
+        return QQ(0)
+    if y.lo <= 0:
+        return -_simplest_between(-y.lo, -x.hi)
+    return _simplest_between(x.hi, y.lo)
+
+
+def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The rational of least denominator in the open interval (lo, hi),
+    0 <= lo < hi, and the least of those: the continued fraction that the
+    two ends share, closed by the least partial quotient that lands inside
+    (a walk down the Stern-Brocot tree)."""
+    quotients = []
+    while True:
+        n = lo.numerator // lo.denominator
+        if n + 1 < hi:
+            quotients.append(n + 1)
+            break
+        # n <= lo < hi <= n + 1: the answer is n + 1/r with r in (1/(hi - n), 1/(lo - n))
+        quotients.append(n)
+        if lo == n:
+            quotients.append(int(1 / (hi - n)) + 1)
+            break
+        lo, hi = 1 / (hi - n), 1 / (lo - n)
+    r = QQ(quotients.pop())
+    while quotients:
+        r = quotients.pop() + 1 / r
+    return r
 
 
 # -- isolation with multiplicities -------------------------------------------

@@ -18,6 +18,7 @@ from jelonek.polytope import LatticePolygon, _cross, _on_segment
 from jelonek.poly import (
     PolyError,
     SparsePoly,
+    coeffs_wrt,
     content_wrt,
     dense_int,
     dense_squarefree,
@@ -101,6 +102,18 @@ def squarefree_part_by_partials(p: SparsePoly) -> SparsePoly:
     if g.is_constant():
         return p.normalized()
     return exact_div(p, g).normalized()
+
+
+def content_by_coefficient_gcd(p: SparsePoly, inner_vars) -> tuple[SparsePoly, SparsePoly]:
+    """Reference content_wrt: the gcd, by ``gcd_multivar``, of p's
+    coefficients over the outer monomials, one ``SparsePoly`` each,
+    normalized; the primitive part by the multivariate ``exact_div``."""
+    coeffs = coeffs_wrt(p, inner_vars)
+    content = coeffs[0]
+    for c in coeffs[1:]:
+        content = gcd_multivar(content, c)
+    content = content.normalized()
+    return content, exact_div(p, content)
 
 
 def _decomposition_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:

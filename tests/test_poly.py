@@ -24,7 +24,7 @@ from jelonek.poly import (
     squarefree_part_multivar,
 )
 from jelonek.parsing import parse_polynomial as P
-from oracles import divides, euclid_gcd, grlex_exact_div, squarefree_part_by_partials
+from oracles import content_by_coefficient_gcd, divides, euclid_gcd, grlex_exact_div, squarefree_part_by_partials
 from strategies import polys_in
 
 
@@ -272,8 +272,7 @@ def test_content_split_intro():
     content, primitive = content_wrt(r1, ["z1"])
     assert content.normalized() == (z1 - 2).normalized()
     assert primitive.normalized() == ((5 - y2) + 2 * (1 - y1) * (z1 - 3)).normalized()
-    assert content * primitive == r1.normalized().scale(r1.rational_content() if False else 1) or True
-    assert (content * primitive - r1).is_zero() or divides(content, r1)
+    assert content * primitive == r1
 
 
 def test_content_times_primitive_reconstructs():
@@ -289,6 +288,30 @@ def test_content_times_primitive_reconstructs():
         content2, _ = content_wrt(primitive, ["z1"])
         assert content2.is_constant()
         assert divides(c.normalized(), content)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polys_in(["z1"], max_deg=3), polys_in(["z1", "y1", "y2"], max_terms=4))
+# one outer monomial
+@example(2 * z1 ** 2 - 4, F(3, 2) * y1 * y2)
+# content 1
+@example(one, z1 * y1 + y2)
+# negative leading coefficient
+@example(2 - z1, y1 - F(1, 3))
+# content of positive degree
+@example(z1 - 2, y1 + z1 * y2)
+# the row of y1 is 2*z1, a non-primitive multiple of the content z1
+@example(one, 2 * z1 * y1 + z1)
+def test_content_in_one_variable_matches_coefficient_gcd(c, q):
+    """With z1 the only inner variable, content_wrt runs on dense rows; it
+    must give the oracle's normalized content and primitive part."""
+    p = c * q
+    if "z1" not in p.vars_present():
+        return
+    content, primitive = content_wrt(p, ["z1"])
+    assert (content, primitive) == content_by_coefficient_gcd(p, ["z1"])
+    assert content * primitive == p
+    assert content.vars_present() <= {"z1"}
 
 
 def test_gcd_examples():
@@ -453,6 +476,9 @@ def test_squarefree_part_multivar_rejects():
         squarefree_part_multivar(SparsePoly.zero())
     with pytest.raises(PolyError):
         squarefree_part_multivar(SparsePoly.monomial({"x1": -1}) * (y1 + 1) ** 2)
+    # one variable, where the dense path would start
+    with pytest.raises(PolyError):
+        squarefree_part_multivar(SparsePoly.monomial({"x1": -1}) * (x1 + 1) ** 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -460,6 +486,19 @@ def test_squarefree_part_multivar_rejects():
 def test_squarefree_part_multivar_matches_partials(a, b, c, k):
     # c is in x1 alone, so it lands in the content over Q[x1]
     p = a ** 2 * b * c ** k
+    if p.is_zero():
+        return
+    assert squarefree_part_multivar(p) == squarefree_part_by_partials(p)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(polys_in(["x1"], max_deg=3), st.integers(1, 3)), min_size=1, max_size=3))
+# a repeated factor, and p' = 2*(x1 - 1)*(3*x1 + 2) is not primitive
+@example([(x1 - 1, 2), (2 * x1 + 3, 1)])
+def test_squarefree_part_in_one_variable_matches_partials(powers):
+    p = one
+    for f, k in powers:
+        p = p * f ** k
     if p.is_zero():
         return
     assert squarefree_part_multivar(p) == squarefree_part_by_partials(p)

@@ -216,6 +216,47 @@ def test_compare_and_between():
     assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt2) == -1
     assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt3) == 1
     assert compare(sqrt2, sqrt2.refined(F(1, 1000))) == 0
+    # -sqrt2 and sqrt2: the gap straddles 0
+    assert rational_between(roots[1], sqrt2) == 0
+
+
+def _between(a, b):
+    return rational_between(RealAlgebraic.from_rational(a), RealAlgebraic.from_rational(b))
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    # a gap that straddles 0
+    (F(-1, 3), F(1, 7), F(0)),
+    (F(-5), F(2), F(0)),
+    # negative gaps
+    (F(-7, 3), F(-2, 3), F(-1)),
+    (F(-1, 3), F(-1, 4), F(-2, 7)),
+    (F(-1), F(0), F(-1, 2)),
+    # integer endpoints
+    (F(2), F(3), F(5, 2)),
+    (F(2), F(5), F(3)),
+    (F(0), F(1), F(1, 2)),
+    (F(0), F(5), F(1)),
+    (F(-3), F(-2), F(-5, 2)),
+])
+def test_rational_between_gives_least_height(a, b, expected):
+    assert _between(a, b) == expected
+    assert _between(b, a) == expected
+
+
+def test_rational_between_is_least_by_brute_force():
+    """Between two distinct rationals with denominators up to 4 the result
+    has the least denominator of any rational strictly between them, and
+    the least absolute value among those."""
+    values = sorted({F(n, d) for d in range(1, 5) for n in range(-9, 10)})
+    for i, a in enumerate(values):
+        for b in values[i + 1:]:
+            r = _between(a, b)
+            assert a < r < b
+            d = next(d for d in range(1, r.denominator + 1)
+                     if any(a < F(n, d) < b for n in range(a.numerator * d // a.denominator, b.numerator * d // b.denominator + 1)))
+            assert r.denominator == d, (a, b, r)
+            assert all(not a < F(n, d) < b or abs(F(n, d)) >= abs(r) for n in range(-10 * d, 10 * d + 1)), (a, b, r)
 
 
 def test_count_real_solutions_basic():
