@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -42,9 +42,9 @@ from .realroots import (
     RealAlgebraic,
     at_root,
     cauchy_bound,
-    compare,
     count_real_solutions,
     count_real_solutions_param,
+    descartes_count,
     isolate_real_roots,
     rational_between,
     rational_roots,
@@ -557,8 +557,6 @@ def _line_roots(p: SparsePoly, line: _ScanLine) -> list[RealAlgebraic] | None:
     restricted = p.eval_rational({line.fixed_var: line.level})
     if restricted.is_zero():
         return None  # the whole line lies inside the curve
-    if restricted.degree(line.free_var) < 1:
-        return []
     return [r for r, _ in isolate_real_roots(restricted, line.free_var)]
 
 
@@ -708,17 +706,10 @@ def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly, avoid: list[S
     bound = _critical_box_bound(J)
     for line in _scan_lines(bound):
         roots = _line_roots(J, line)
-        if roots is None or not roots:
+        if not roots:
             continue
-        obstacles: list[RealAlgebraic] = []
-        degenerate = False
-        for p in avoid:
-            rr = _line_roots(p, line)
-            if rr is None:
-                degenerate = True
-                break
-            obstacles.extend(rr)
-        if degenerate:
+        on_line = [o.eval_rational({line.fixed_var: line.level}) for o in avoid]
+        if any(o.is_zero() for o in on_line):
             continue
         disc = discriminant_curve(f1, f2, line)
         if disc.is_zero():
@@ -727,51 +718,53 @@ def _scan_and_count(J: SparsePoly, f1: SparsePoly, f2: SparsePoly, avoid: list[S
         # (distinct and weighted counts differ), and a non-real one leaves
         # the real count alone: only the other critical values veto
         J_line = J.eval_rational({line.fixed_var: line.level})
-        obstacles.extend(_line_roots(_strip_shared(disc, J_line), line))
+        on_line.append(_strip_shared(disc, J_line))
+        obstacles = [dense_int(o, line.free_var) for o in on_line if not o.is_constant()]
+        own = [f for f, _ in dense_squarefree(dense_int(J_line, line.free_var))]
         for p_free in roots:
             # p must avoid the other curves and the critical values
-            if any(compare(p_free, o) == 0 for o in obstacles):
+            if any(sign_at_dense(o, p_free) == 0 for o in obstacles):
                 continue
-            verdict = _verdict_at_point(f1, f2, line, p_free, roots, obstacles)
+            verdict = _verdict_at_point(f1, f2, line, p_free, own, obstacles)
             if verdict is not None:
                 return verdict
     return "undetermined"
 
 
+def _bracket(p: RealAlgebraic, own: list[list[int]],
+             obstacles: list[list[int]]) -> tuple[Fraction, RealAlgebraic, Fraction]:
+    """(lo, p, hi): p refined, with no obstacle root and no own root but p
+    in (lo, hi), proved by Descartes counts of 0 on every obstacle and of 1
+    in sum over J's squarefree factors on the line, as eps halves from 1.
+    It ends: no obstacle vanishes at p, and p is a simple root of just one
+    of the coprime own factors."""
+    eps = QQ(1)
+    while True:
+        p = p.refined(eps)
+        lo, hi = p.lo - eps, p.hi + eps
+        if (sum(descartes_count(f, lo, hi) for f in own) == 1
+                and all(descartes_count(o, lo, hi) == 0 for o in obstacles)):
+            return lo, p, hi
+        eps /= 2
+
+
 def _verdict_at_point(f1: SparsePoly, f2: SparsePoly, line: _ScanLine, p_free: RealAlgebraic,
-                      own_roots: list[RealAlgebraic], obstacles: list[RealAlgebraic]) -> str | None:
-    crossings = obstacles + [r for r in own_roots if compare(r, p_free) != 0]
-    left = [r for r in crossings if compare(r, p_free) < 0]
-    right = [r for r in crossings if compare(r, p_free) > 0]
-    probe = p_free.refined(QQ(1, 16))
-    # the nearest crossing on each side; on ties max and min keep the first
-    q_minus = rational_between(max(left, key=cmp_to_key(compare)), p_free) if left else probe.lo - 1
-    q_plus = rational_between(min(right, key=cmp_to_key(compare)), p_free) if right else probe.hi + 1
+                      own: list[list[int]], obstacles: list[list[int]]) -> str | None:
+    lo, p_free, hi = _bracket(p_free, own, obstacles)
 
-    def full_point(free_value: Fraction) -> tuple[Fraction, Fraction]:
-        if line.fixed_var == "y2":
-            return (free_value, line.level)
-        return (line.level, free_value)
+    def system_at(free: SparsePoly) -> tuple[SparsePoly, SparsePoly]:
+        fixed = SparsePoly.constant(line.level, f1.vars)
+        y = (free, fixed) if line.fixed_var == "y2" else (fixed, free)
+        return f1 - y[0], f2 - y[1]
 
-    def count_at(free_value: Fraction):
-        pt = full_point(free_value)
-        F1 = f1 - SparsePoly.constant(pt[0], f1.vars)
-        F2 = f2 - SparsePoly.constant(pt[1], f1.vars)
-        return count_real_solutions(F1, F2)
-
-    dq_m, wq_m = count_at(q_minus)
-    dq_p, wq_p = count_at(q_plus)
+    # the least-height rationals in the open cells on either side of p
+    q_minus, q_plus = rational_between(lo, p_free.lo), rational_between(p_free.hi, hi)
+    dq_m, wq_m = count_real_solutions(*system_at(SparsePoly.constant(q_minus, f1.vars)))
+    dq_p, wq_p = count_real_solutions(*system_at(SparsePoly.constant(q_plus, f1.vars)))
     if dq_m != wq_m or dq_p != wq_p:
         return None  # neighbors are not generic; try another scan
     # count at p itself: one coordinate algebraic
-    w = SparsePoly.variable("w", f1.vars)
-    if line.fixed_var == "y2":
-        F1 = f1 - w
-        F2 = f2 - SparsePoly.constant(line.level, f1.vars)
-    else:
-        F1 = f1 - SparsePoly.constant(line.level, f1.vars)
-        F2 = f2 - w
-    dp, wp = count_real_solutions_param(F1, F2, "w", p_free)
+    dp, wp = count_real_solutions_param(*system_at(SparsePoly.variable("w", f1.vars)), "w", p_free)
     if dp != wp:
         return None  # p touches a multiple fiber despite the filters
     if wp < max(wq_m, wq_p):

@@ -83,9 +83,34 @@ def _shift1(q: Sequence[int]) -> list[int]:
     return out
 
 
-def _reflect(q: Sequence[int]) -> list[int]:
-    """Coefficients of q(-x)."""
-    return [-c if i % 2 else c for i, c in enumerate(q)]
+def _on_interval(p: Sequence[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """D^n p(lo + (hi - lo) x), D a common denominator of lo and hi: a
+    positive integer multiple of p mapped onto (0, 1), by Horner's rule."""
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, w = int(lo * den), int((hi - lo) * den)
+    q, dpow = [p[-1]], 1
+    for c in reversed(p[:-1]):
+        dpow *= den
+        # q <- q * (a + w x) + c * den^k
+        q = [a * s + w * t for s, t in zip(q + [0], [0] + q)]
+        q[0] += c * dpow
+    return q
+
+
+def _variations(q: Sequence[int]) -> int:
+    """Sign changes of (x + 1)^n q(1/(x + 1)), a bound on q's roots in (0, 1)."""
+    return _sign_changes(_shift1(q[::-1]))
+
+
+def descartes_count(p: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """The roots of a dense form in the open interval (lo, hi), with
+    multiplicity, plus an even number: 0 proves there is none, 1 that there
+    is one.  The count is 0 when no complex root lies in the disc on [lo, hi]
+    and 1 when a simple root is the only one in the two circumcircles of the
+    equilateral triangles on [lo, hi] (Obreshkoff), so on intervals closing
+    in on x it ends at 0 if p(x) != 0 and at 1 if x is a simple root.
+    """
+    return _variations(_on_interval(p, lo, hi))
 
 
 def isolate_squarefree_dense(p: Sequence[int]) -> list[tuple[Fraction, Fraction]]:
@@ -96,9 +121,9 @@ def isolate_squarefree_dense(p: Sequence[int]) -> list[tuple[Fraction, Fraction]
 
     Descartes bisection of (-B, 0) and (0, B), B the Cauchy bound, at exact
     midpoints in LIFO order.  Each interval (a, b) carries a positive integer
-    multiple q of p(a + (b - a) x): q[0] and sum(q) have the signs of p(a)
-    and p(b), and the sign changes of (x + 1)^n q(1/(x + 1)) bound the
-    number of roots inside.  Halving
+    multiple q of p(a + (b - a) x), first from :func:`_on_interval`: q[0]
+    and sum(q) have the signs of p(a) and p(b), and the sign changes of
+    (x + 1)^n q(1/(x + 1)) bound the number of roots inside.  Halving
     takes q(x/2) 2^n; the right half is the left half shifted by one.
     """
     if len(p) <= 1:
@@ -106,16 +131,12 @@ def isolate_squarefree_dense(p: Sequence[int]) -> list[tuple[Fraction, Fraction]
     out: list[tuple[Fraction, Fraction]] = []
     bound = cauchy_bound(p)
     n = len(p) - 1
-    num, den = bound.numerator, bound.denominator
-    # p(B x) D^n, B = N/D: coefficient i is p_i N^i D^(n-i)
-    right = [c * num ** i * den ** (n - i) for i, c in enumerate(p)]
-    if right[0] == 0:
+    if p[0] == 0:
         out.append((QQ(0), QQ(0)))
-    left = _reflect(_shift1(_reflect(right)))  # p(B (x - 1))
-    stack = [(-bound, QQ(0), left), (QQ(0), bound, right)]
+    stack = [(a, b, _on_interval(p, a, b)) for a, b in ((-bound, QQ(0)), (QQ(0), bound))]
     while stack:
         a, b, q = stack.pop()
-        v = _sign_changes(_shift1(q[::-1]))
+        v = _variations(q)
         if v == 0:
             continue
         if v == 1 and q[0] != 0 and sum(q) != 0:
@@ -279,30 +300,16 @@ def _root_in(g: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     return glo == 0 or ghi == 0 or glo != ghi
 
 
-def rational_between(a: RealAlgebraic, b: RealAlgebraic) -> Fraction:
-    """A rational strictly between two distinct real algebraic numbers: the
-    one of least denominator, and of least absolute value among those, in
-    the open gap between their refined isolating intervals."""
-    if compare(a, b) > 0:
-        a, b = b, a
-    x, y = a, b
-    while x.hi >= y.lo:
-        x = x.refined(x.width() / 4 if x.width() > 0 else QQ(1))
-        y = y.refined(y.width() / 4 if y.width() > 0 else QQ(1))
-        if x.lo == x.hi and y.lo == y.hi and x.lo == y.lo:
-            raise PolyError("numbers are equal")
-    if x.hi < 0 < y.lo:
-        return QQ(0)
-    if y.lo <= 0:
-        return -_simplest_between(-y.lo, -x.hi)
-    return _simplest_between(x.hi, y.lo)
-
-
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+def rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The rational of least denominator in the open interval (lo, hi),
-    0 <= lo < hi, and the least of those: the continued fraction that the
-    two ends share, closed by the least partial quotient that lands inside
-    (a walk down the Stern-Brocot tree)."""
+    lo < hi, and the one of least absolute value among those: 0 when the
+    interval holds 0, the mirror image for a negative interval, else the
+    continued fraction that the two ends share, closed by the least partial
+    quotient that lands inside (a walk down the Stern-Brocot tree)."""
+    if lo < 0 < hi:
+        return QQ(0)
+    if hi <= 0:
+        return -rational_between(-hi, -lo)
     quotients = []
     while True:
         n = lo.numerator // lo.denominator

@@ -10,6 +10,7 @@ step sizes far beyond double precision.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import mpmath as mp
 
@@ -29,7 +30,15 @@ from jelonek.poly import (
     resultant_and_penultimate,
     squarefree_part_multivar,
 )
-from jelonek.realroots import SHEAR_CANDIDATES, isolate_real_roots, rational_roots, _shear
+from jelonek.realroots import (
+    SHEAR_CANDIDATES,
+    RealAlgebraic,
+    compare,
+    isolate_real_roots,
+    rational_between,
+    rational_roots,
+    _shear,
+)
 
 ESCAPE_NORM = 1e6
 
@@ -201,6 +210,31 @@ def discriminant_curve_oracle(f1: SparsePoly, f2: SparsePoly) -> SparsePoly:
     if D.is_constant():
         return SparsePoly.constant(1, D.vars)
     return D.normalized()
+
+
+def _between_numbers(a: RealAlgebraic, b: RealAlgebraic) -> F:
+    """The least-height rational in the gap between the isolating intervals
+    of a < b, refined until they are disjoint."""
+    while a.hi >= b.lo:
+        a = a.refined(a.width() / 4 if a.width() > 0 else F(1))
+        b = b.refined(b.width() / 4 if b.width() > 0 else F(1))
+    return rational_between(a.hi, b.lo)
+
+
+def crossing_neighbours(p: RealAlgebraic, own: list[list[int]], obstacles: list[list[int]]) -> tuple[F, F]:
+    """Reference scan neighbours (q-, q+) of a root p of the own factors:
+    every real root of the obstacles and of the own factors is isolated,
+    and q- and q+ are the least-height rationals between p and the nearest
+    such root on each side, or one past p's interval refined to 1/16 when a
+    side has none."""
+    crossings = [r for f in obstacles + own for r, _ in isolate_real_roots(from_dense(f, "x1"), "x1")
+                 if compare(r, p) != 0]
+    left = [r for r in crossings if compare(r, p) < 0]
+    right = [r for r in crossings if compare(r, p) > 0]
+    probe = p.refined(F(1, 16))
+    q_minus = _between_numbers(max(left, key=cmp_to_key(compare)), p) if left else probe.lo - 1
+    q_plus = _between_numbers(p, min(right, key=cmp_to_key(compare))) if right else probe.hi + 1
+    return q_minus, q_plus
 
 
 def count_real_solutions_by_isolation(f1: SparsePoly, f2: SparsePoly) -> tuple[int, int]:

@@ -18,6 +18,9 @@ from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOU
 from jelonek.cli import main
 
 NONEMPTY_LINE = CURATED[1][1:3]
+EMPTY_LINE_WITH_REAL_FIBERS = CURATED[2][1:3]
+# the first curated map with one more real factor (x1 + 3) in f1
+EXTRA_FACTOR = ("1 + x2^2*(x1-1)^2*(x1+2)*(x1+3)", CURATED[0][2])
 # the intro map without its constant terms: the pipeline translates it first
 INTRO_SHIFTED = ("2*x1*x2 - x1^2*x2^3", "12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5")
 EXACT = ["--json", "--seed", "3", "--no-mv-optimization"]
@@ -46,6 +49,11 @@ CASES = {
     # y1 - 1 from two edges merges; a parametric curve goes through the merge
     "big-real-resultant": ["compute", BIG_F1, BIG_F2, "--field", "real", *EXACT],
     "nonempty-line-real": ["compute", *NONEMPTY_LINE, "--field", "real", *EXACT],
+    # confirmed-empty from the scan, with 0 real solutions at the point and
+    # at both neighbours
+    "extra-factor-real": ["compute", *EXTRA_FACTOR, "--field", "real", *EXACT],
+    # confirmed-empty from the scan, with 2 real solutions at all three
+    "empty-line-with-real-fibers-real": ["compute", *EMPTY_LINE_WITH_REAL_FIBERS, "--field", "real", *EXACT],
     "intro-implicit-baseline":
         ["compute", INTRO_F1, INTRO_F2, "--emit-implicit", "--with-baseline", *EXACT],
     "intro-shifted-real": ["compute", *INTRO_SHIFTED, "--field", "real", *EXACT],

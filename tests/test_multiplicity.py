@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixtures import CURATED, IRRATIONAL_BOUNDARY
-from oracles import discriminant_curve_oracle, escape_oracle
+from oracles import crossing_neighbours, discriminant_curve_oracle, escape_oracle
 from strategies import polys_in
 from jelonek import multiplicity
 from jelonek.parsing import parse_polynomial as P
@@ -15,6 +16,7 @@ from jelonek.poly import (
     PolyError,
     SparsePoly,
     dense_int,
+    from_dense,
     dense_squarefree,
     gcd_multivar,
     resultant,
@@ -32,6 +34,7 @@ from jelonek.multiplicity import (
     ms_fulton_all,
     ms_resultant,
     norm_form,
+    _bracket,
     _critical_box_bound,
     _eval_possibly_ext,
     _find_rational_point_on,
@@ -41,9 +44,21 @@ from jelonek.multiplicity import (
     _odd_jump_shortcut,
     _resultant_certifies_coprime,
     _ScanLine,
+    _scan_and_count,
     _shift_to_rho,
+    _verdict_at_point,
 )
-from jelonek.realroots import at_root, isolate_real_roots, rational_roots, real_roots, sign_at_dense
+from jelonek.realroots import (
+    RealAlgebraic,
+    at_root,
+    compare,
+    count_real_solutions,
+    isolate_real_roots,
+    rational_between,
+    rational_roots,
+    real_roots,
+    sign_at_dense,
+)
 
 x1 = SparsePoly.variable("x1")
 x2 = SparsePoly.variable("x2")
@@ -583,6 +598,189 @@ def test_scan_helpers_on_degenerate_input():
     sys = EdgeSystem(g1=z1 + z2 - y1, g2=z1 * z2 - y2, g=SparsePoly.constant(1), transform=None, edge=None)
     for fld in ("R", "C"):
         assert ms_fulton_all(sys, fld) == ms_resultant(sys, fld) == []
+
+
+def _recording(monkeypatch, name):
+    """Wrap a function of ``multiplicity``; the calls' arguments collect in the returned list."""
+    calls, real = [], getattr(multiplicity, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(multiplicity, name, wrapped)
+    return calls
+
+
+def test_scan_skips_a_line_inside_an_avoided_curve(monkeypatch):
+    # the avoided line y2 = 5 is the first scan line of J = y1 + 2 (bound 5):
+    # no discriminant is computed there, and the third line decides
+    f1, f2 = (P(s) for s in CURATED[2][1:3])
+    J = (y1 + 2).normalized()
+    assert _critical_box_bound(J) == 5
+    lines = _recording(monkeypatch, "discriminant_curve")
+    assert _scan_and_count(J, f1, f2, [y2 - 5]) == "confirmed-empty"
+    assert [(line.fixed_var, line.level) for _, _, line in lines] == [("y2", -5)]
+
+
+def test_scan_skips_points_on_an_obstacle_and_lines_without_roots(monkeypatch):
+    # on y2 = 5 the avoided curve y1 + y2 = 3 passes through J's point
+    # y1 = -2, which is skipped; the lines y1 = +-5 miss J, and the scan goes
+    # on to y2 = -5.  With every point left undecided the scan is undetermined
+    f1, f2 = (P(s) for s in CURATED[2][1:3])
+    points = []
+    monkeypatch.setattr(multiplicity, "_verdict_at_point",
+                        lambda f1, f2, line, p, own, obstacles: points.append((line.fixed_var, line.level, p)))
+    assert _scan_and_count((y1 + 2).normalized(), f1, f2, [y1 + y2 - 3]) == "undetermined"
+    assert [(v, level, p.as_fraction()) for v, level, p in points] == [("y2", -5, -2)]
+
+
+def test_verdict_at_point_rejects_a_neighbour_on_a_missed_critical_value():
+    # the fold (x1, x2^2) on the line y1 = 3, with its critical value y2 = 0
+    # left out of the obstacles: q- lands on it, where the fiber is a double
+    # point, and the point gives no verdict
+    fold = (P("x1"), P("x2^2"))
+    line = _ScanLine("y1", "y2", F(3))
+    assert _verdict_at_point(*fold, line, RealAlgebraic.from_rational(F(1, 2)), [[-1, 2]], []) is None
+
+
+def test_verdict_at_point_rejects_a_multiple_fiber_at_the_point():
+    # (x1, x2^3 - x1^2*x2) on y2 = 0: three simple real solutions on each
+    # side of y1 = 0 and one triple solution at it
+    f1, f2 = P("x1"), P("x2^3 - x1^2*x2")
+    line = _ScanLine("y2", "y1", F(0))
+    assert _verdict_at_point(f1, f2, line, RealAlgebraic.from_rational(0), [[0, 1]], []) is None
+
+
+def test_verdict_at_point_without_a_drop_at_the_point_is_undecided():
+    # (x1, x2^3 - x2) on y1 = 0 with its critical values y2 = -+2/(3*sqrt(3))
+    # left out: the counts are 3 at q- = 0 and at p = 1/10 but 1 at q+ = 1
+    f1, f2 = P("x1"), P("x2^3 - x2")
+    line = _ScanLine("y1", "y2", F(0))
+    assert _verdict_at_point(f1, f2, line, RealAlgebraic.from_rational(F(1, 10)), [[-1, 10]], []) is None
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _real_roots_of(f):
+    return [r for r, _ in isolate_real_roots(from_dense(f, "x1"), "x1")]
+
+
+def _inside(r, lo, hi):
+    return r.cmp_fraction(lo) > 0 and r.cmp_fraction(hi) < 0
+
+
+def _assert_bracket(p, own, obstacles):
+    lo, q, hi = _bracket(p, own, obstacles)
+    assert lo < q.lo <= q.hi < hi and compare(q, p) == 0
+    for o in obstacles:
+        assert not any(_inside(r, lo, hi) for r in _real_roots_of(o))
+    inside = [r for f in own for r in _real_roots_of(f) if _inside(r, lo, hi)]
+    assert len(inside) == 1 and compare(inside[0], p) == 0
+    return lo, q, hi
+
+
+# (k, side, kind): an obstacle factor with a real root at p + side * 2^-k, or
+# with the complex pair p +- i * 2^-k, which has no real root
+PLANTED = st.tuples(st.integers(1, 30), st.sampled_from([-1, 1]), st.sampled_from(["real", "complex"]))
+
+
+RATIONAL_POINT = st.tuples(st.integers(-20, 20), st.integers(1, 9))
+IRRATIONAL_POINT = st.tuples(st.sampled_from([2, 3, 5, 7]), st.sampled_from([-1, 1]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(RATIONAL_POINT.map(lambda ab: ("a/b", ab)), IRRATIONAL_POINT.map(lambda ms: ("sqrt", ms))),
+       st.lists(st.lists(PLANTED, min_size=1, max_size=3, unique=True), min_size=1, max_size=3),
+       st.one_of(st.none(), st.integers(1, 30)))
+def test_bracket_holds_only_the_point(point, planted, own_near):
+    """Roots planted at p +- 2^-k, for a rational p = a/b and for p = +-sqrt(m);
+    ``own_near`` j adds an own factor with a rational root within 2^-j of p."""
+    kind_of_point, (u, v) = point
+    if kind_of_point == "a/b":
+        a, b = u, v
+        p = RealAlgebraic.from_rational(F(a, b))
+        own = [[-a, b]]
+
+        def factor(k, side, kind):
+            # 2^k*b*x - (2^k*a + side*b), or (2^k*(b*x - a))^2 + b^2
+            if kind == "real":
+                return [-(a << k) - side * b, b << k]
+            square = _mul([-(a << k), b << k], [-(a << k), b << k])
+            return [square[0] + b * b, *square[1:]]
+        near = None if own_near is None else [-(a << own_near) - b, b << own_near]
+    else:
+        m, sign = u, v
+        p = real_roots([-m, 0, 1])[sign > 0]
+        own = [[-m, 0, 1]]
+
+        def factor(k, side, kind):
+            # (2^k*x - side)^2 - m*4^k: roots +-sqrt(m) + side*2^-k;
+            # 4^k*(x^2 - m)^2 + 1: complex roots within 2^-k/sqrt(m) of +-sqrt(m)
+            if kind == "real":
+                return [1 - (m << 2 * k), -side << (k + 1), 1 << 2 * k]
+            return [(m * m << 2 * k) + 1, 0, -(m << (2 * k + 1)), 0, 1 << 2 * k]
+        near = None if own_near is None else [-sign * isqrt(m << 2 * own_near), 1 << own_near]
+    if near is not None:
+        own.append(near)
+    obstacles = []
+    for group in planted:
+        o = [1]
+        for k, side, kind in group:
+            o = _mul(o, factor(k, side, kind))
+        obstacles.append(o)
+    lo, q, hi = _assert_bracket(p, own, obstacles)
+    # the neighbours lie in the open cells of the reference neighbours
+    q_minus, q_plus = rational_between(lo, q.lo), rational_between(q.hi, hi)
+    for x, y in zip((q_minus, q_plus), crossing_neighbours(p, own, obstacles)):
+        x, y = min(x, y), max(x, y)
+        for f in own + obstacles:
+            assert not any(r.cmp_fraction(x) >= 0 and r.cmp_fraction(y) <= 0 for r in _real_roots_of(f))
+
+
+def test_bracket_on_a_large_polynomial():
+    # degree 102 with coefficients past 1000 bits, the size of the big map's
+    # line polynomial: 100 rational roots n/d with 12-bit n and d, and the
+    # pair +-sqrt(2) + 2^-20 next to p = sqrt(2)
+    rng = random.Random(5)
+    roots = [F(rng.randrange(-1 << 12, 1 << 12), rng.randrange(1, 1 << 12)) for _ in range(100)]
+    near = [1 - (2 << 40), -(1 << 21), 1 << 40]  # (2^20*x - 1)^2 - 2*4^20
+    o = near
+    for r in roots:
+        o = _mul(o, [-r.numerator, r.denominator])
+    assert len(o) - 1 >= 100 and max(abs(c) for c in o).bit_length() >= 1000
+    sqrt2 = real_roots([-2, 0, 1])[1]
+    lo, q, hi = _bracket(sqrt2, [[-2, 0, 1]], [o])
+    assert lo < q.lo <= q.hi < hi and compare(q, sqrt2) == 0
+    assert not any(lo < r < hi for r in roots)
+    assert not any(_inside(r, lo, hi) for r in real_roots(near))
+
+
+def test_bracket_neighbours_count_as_the_crossing_oracle(monkeypatch):
+    # at every point the scan tries on the ladder-real maps and two maps with
+    # irrational boundary roots, with the shortcut off, the real counts at q-
+    # and q+ equal those at the reference neighbours of the old crossing lists
+    maps = [CURATED[3][1:3]] + [(a, b) for _, a, b, _, _ in CURATED[:3]]
+    maps += [LADDER_REAL_DISCRIMINANTS["extra-factor"][0], MIXED_BOUNDARY, IRRATIONAL_RHO_LINE]
+    calls = _recording(monkeypatch, "_verdict_at_point")
+    records, _ = _scan_records(monkeypatch, maps, shortcut=False)
+    assert len(calls) >= len(maps) and len(records) >= len(maps)
+
+    def counts(f1, f2, line, value):
+        pt = {line.fixed_var: line.level, line.free_var: value}
+        return count_real_solutions(f1 - SparsePoly.constant(pt["y1"]), f2 - SparsePoly.constant(pt["y2"]))
+
+    for f1, f2, line, p, own, obstacles in calls:
+        lo, q, hi = _assert_bracket(p, own, obstacles)
+        ours = (rational_between(lo, q.lo), rational_between(q.hi, hi))
+        for x, y in zip(ours, crossing_neighbours(p, own, obstacles)):
+            assert counts(f1, f2, line, x) == counts(f1, f2, line, y), (line, p, x, y)
 
 
 def test_eval_possibly_ext_decides_by_the_sign_at_rho():

@@ -18,6 +18,7 @@ from jelonek.realroots import (
     compare,
     count_real_solutions,
     count_real_solutions_param,
+    descartes_count,
     isolate_real_roots,
     isolate_squarefree_dense,
     rational_between,
@@ -212,16 +213,36 @@ def test_compare_and_between():
     sqrt2 = roots[2]
     sqrt3 = roots[3]
     assert compare(sqrt2, sqrt3) == -1
-    q = rational_between(sqrt2, sqrt3)
+    q = rational_between(sqrt2.refined(F(1, 8)).hi, sqrt3.refined(F(1, 8)).lo)
+    assert q == F(3, 2)
     assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt2) == -1
     assert sign_at_dense(dense_int(x1 - SparsePoly.constant(q), "x1"), sqrt3) == 1
     assert compare(sqrt2, sqrt2.refined(F(1, 1000))) == 0
     # -sqrt2 and sqrt2: the gap straddles 0
-    assert rational_between(roots[1], sqrt2) == 0
+    assert rational_between(roots[1].hi, sqrt2.lo) == 0
+
+
+@pytest.mark.parametrize("p, lo, hi, count", [
+    ([-2, 0, 1], F(1), F(2), 1),
+    ([-2, 0, 1], F(0), F(1), 0),
+    ([-2, 0, 1], F(-2), F(2), 2),
+    ([-2, 0, 1], F(7, 5), F(3, 2), 1),
+    ([-2, 0, 1], F(-3, 2), F(-7, 5), 1),
+    # the interval is open: a root at an end is not counted
+    ([0, 1], F(0), F(1), 0),
+    ([0, 1], F(-1, 3), F(1, 2), 1),
+    ([1, -2, 1], F(1), F(2), 0),
+    ([1, -2, 1], F(0), F(2), 2),
+    # i and -i lie in the disc on [-10, 10] but not in the one on [1, 2]
+    ([1, 0, 1], F(-10), F(10), 2),
+    ([1, 0, 1], F(1), F(2), 0),
+])
+def test_descartes_count_on_open_intervals(p, lo, hi, count):
+    assert descartes_count(p, lo, hi) == count
 
 
 def _between(a, b):
-    return rational_between(RealAlgebraic.from_rational(a), RealAlgebraic.from_rational(b))
+    return rational_between(min(a, b), max(a, b))
 
 
 @pytest.mark.parametrize("a, b, expected", [
