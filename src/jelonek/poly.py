@@ -18,6 +18,13 @@ denominators and monomial factors on entry, run one subresultant engine on
 ``int`` coefficients keyed by packed integer monomials, and convert back;
 ``squarefree_part_multivar`` divides by that engine's last subresultant
 and ``exact_div`` packs both operands the same way for its heap division.
+On the packed rows ``resultant`` first applies two exact identities in the
+eliminated variable x: it strips a factor x^m from either operand, by
+Res(x^m f, g) = g(0)^m Res(f, g) and Res(f, x^m g) = ((-1)^(deg f) f(0))^m
+Res(f, g), and it deflates operands in x^k, by Res_x(f(x^k), g(x^k)) =
+Res_y(f, g)^k with y = x^k.  ``resultant_and_penultimate`` never rewrites
+its operands: a deflated sequence does not hold the penultimate
+subresultant of the operands as given.
 
 Univariate polynomials also have one dense form, owned by this module: the
 ascending list of coprime ``int`` coefficients (:func:`dense_int`), a
@@ -556,31 +563,22 @@ def resultant(p: SparsePoly, q: SparsePoly, var: str) -> SparsePoly:
     """Exact resultant of p and q with respect to ``var``.
 
     Returns the zero polynomial when the inputs share a factor involving
-    ``var``.
+    ``var``.  Operands with a factor var^m, or polynomials in var^k, run a
+    shorter remainder sequence (see :func:`_resultant_rows`).
     """
-    return resultant_and_penultimate(p, q, var)[0]
+    return _subresultants(p, q, var, False)[0]
 
 
 def resultant_and_penultimate(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly | None]:
     """Res_var(p, q) and the last subresultant of positive degree in ``var``.
 
-    Both come from one pass of the subresultant engine below.  The
-    subresultant is fixed up to sign; when the resultant vanishes it is the
-    last nonzero one, a multiple of gcd(p, q).  It is None when p or q is
-    zero or constant in ``var``.
+    Both come from one pass of the subresultant engine below, on the
+    operands as given: a stripped or deflated sequence would not hold this
+    subresultant.  It is fixed up to sign; when the resultant vanishes it
+    is the last nonzero one, a multiple of gcd(p, q).  It is None when p or
+    q is zero or constant in ``var``.
     """
-    q = p._check(q)
-    if p.is_zero() or q.is_zero():
-        return SparsePoly.zero(p.vars), None
-    dp, dq = p.degree(var), q.degree(var)
-    if dp == 0 and dq == 0:
-        raise PolyError(f"both inputs constant in {var}")
-    if p.min_degree(var) < 0 or q.min_degree(var) < 0:
-        raise PolyError(f"negative exponents in {var}")
-    if dp < dq:
-        res, pen = _subresultants(q, p, var)
-        return (-res if dp * dq % 2 else res), pen
-    return _subresultants(p, q, var)
+    return _subresultants(p, q, var, True)
 
 
 # -- the integer subresultant engine ------------------------------------------
@@ -592,8 +590,8 @@ def resultant_and_penultimate(p: SparsePoly, q: SparsePoly, var: str) -> tuple[S
 # monomials and monomial multiplication is key addition.
 
 
-def _subresultants(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, SparsePoly | None]:
-    """The engine's entry and exit, for deg p >= deg q.
+def _subresultants(p: SparsePoly, q: SparsePoly, var: str, penultimate: bool) -> tuple[SparsePoly, SparsePoly | None]:
+    """The engine's entry and exit; the penultimate subresultant when asked.
 
     Each input f is entered as f / (c*m) with c its rational content and m
     the gcd of its monomials, so the engine sees primitive integer
@@ -601,8 +599,18 @@ def _subresultants(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, 
     subresultant of index j (j = 0 is the resultant) is homogeneous of
     degree dq - j in the coefficients of p and dp - j in those of q.
     """
-    vi = p._idx(var)
+    q = p._check(q)
+    if p.is_zero() or q.is_zero():
+        return SparsePoly.zero(p.vars), None
     dp, dq = p.degree(var), q.degree(var)
+    if dp == 0 and dq == 0:
+        raise PolyError(f"both inputs constant in {var}")
+    if p.min_degree(var) < 0 or q.min_degree(var) < 0:
+        raise PolyError(f"negative exponents in {var}")
+    if dp < dq:
+        res, pen = _subresultants(q, p, var, penultimate)
+        return (-res if dp * dq % 2 else res), pen
+    vi = p._idx(var)
     present = p.vars_present() | q.vars_present()
     live = [i for i, v in enumerate(p.vars) if i != vi and v in present]
     lows = [[min(e[i] for e in f.terms) for i in live] for f in (p, q)]
@@ -640,10 +648,49 @@ def _subresultants(p: SparsePoly, q: SparsePoly, var: str) -> tuple[SparsePoly, 
         return SparsePoly(terms, p.vars)
 
     P, Q = pack(p, cp, lows[0]), pack(q, cq, lows[1])
+    if not penultimate:
+        return unpack([_resultant_rows(P, Q)], 0), None
     if dq == 0:
         return unpack([_ipow(Q[0], dp)], 0), None
     res, last = _ducos(P, Q)
     return unpack([res], 0), (q if last is None else unpack(*last))
+
+
+def _resultant_rows(P: list[dict[int, int]], Q: list[dict[int, int]]) -> dict[int, int]:
+    """Res(P, Q) of two nonzero packed polynomials, shrunk by exact identities.
+
+    A factor x^m of either operand comes off first: Res(x^m f, g) =
+    g(0)^m Res(f, g) and Res(f, x^m g) = ((-1)^(deg f) f(0))^m Res(f, g),
+    and the resultant is 0 when both have one.  When the rest are
+    polynomials in y = x^k with k > 1, Res_x(f(x^k), g(x^k)) =
+    Res_y(f, g)^k: the PRS runs on every k-th row, without the gaps of k - 1
+    degrees that Lazard's powers would bridge.  The result is the same
+    polynomial as Res(P, Q), so the caller's fields hold it: the factors
+    and powers formed here have degree at most its bound D_v, and the
+    shorter PRS has a smaller bound than the full one.
+    """
+    mp = next(i for i, row in enumerate(P) if row)
+    mq = next(i for i, row in enumerate(Q) if row)
+    if mp and mq:
+        return {}
+    if mp:
+        return _imul(_ipow(Q[0], mp), _resultant_rows(P[mp:], Q))
+    if mq:
+        res = _imul(_ipow(P[0], mq), _resultant_rows(P, Q[mq:]))
+        return _ineg(res) if (len(P) - 1) * mq % 2 else res
+    dp, dq = len(P) - 1, len(Q) - 1
+    if dp < dq:
+        res = _resultant_rows(Q, P)
+        return _ineg(res) if dp * dq % 2 else res
+    if dq == 0:
+        return _ipow(Q[0], dp)
+    k = int_gcd(*(i for F in (P, Q) for i, row in enumerate(F) if row))
+    res = _ducos(P[::k], Q[::k])[0]
+    return _ipow(res, k) if k > 1 else res
+
+
+def _ineg(a: dict[int, int]) -> dict[int, int]:
+    return {key: -c for key, c in a.items()}
 
 
 def _ducos(P: list[dict[int, int]], Q: list[dict[int, int]]):

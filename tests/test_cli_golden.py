@@ -37,6 +37,10 @@ SHARED_COMPONENT = ("x1*x2", "x1*(x1-x2)", "--point", "0,0")
 # two parabolas with contact of order 3 at the non-integer point (1/2, 2/3)
 TANGENCY = ("x2 - 2/3 - 3/2*(x1 - 1/2)^2",
             "x2 - 2/3 - 3/2*(x1 - 1/2)^2 + 5/4*(x1 - 1/2)^3 + 7/3*(x2 - 2/3)^2", "--point", "1/2,2/3")
+# the first curated map with x2 -> x2^4: on its pertinent edge the
+# elimination of z2 has operands in z2^8, a remainder sequence with gaps
+EVEN_ROW_4 = ("1 + x2^8*(x1-1)^2", "1 + x1*x2^8 + x2^16*(x1-1)^2")
+RESULTANT_ROUTE = ["--method", "resultant", "--no-mv-optimization", "--json"]
 
 CASES = {
     "irrational-boundary-real-resultant":
@@ -62,6 +66,8 @@ CASES = {
         ["compute", *PARAMETRIC, "--trace", "--with-baseline", "--emit-implicit"],
     "parametric-implicit": ["compute", *PARAMETRIC, "--json", "--emit-implicit"],
     "mv-skipped-text": ["compute", *MV_SKIPPED],
+    "even-row-4-complex-resultant": ["compute", *EVEN_ROW_4, *RESULTANT_ROUTE],
+    "even-row-4-real-resultant": ["compute", *EVEN_ROW_4, "--field", "real", *RESULTANT_ROUTE],
     "polytope-intro-text": ["polytope", INTRO_F1, INTRO_F2],
     "baseline-intro": ["baseline", INTRO_F1, INTRO_F2, "--json"],
     "mv-check-intro": ["mv-check", INTRO_F1, INTRO_F2, "--json"],

@@ -35,6 +35,12 @@ BIG = ("1 + x1*x2 + 2*x1^2*x2^2 - 7/10*x1^2*x2 - 3*x1^3*x2^2",
        "1 + 3*x1*x2 - 4*x1^2*x2^2 + 5*x1^3*x2^3 - 6*x1^4*x2^4 + 2187/32*x1^10*x2^4"
        " - 54*x1^6*x2^3 + 5103/320*x1^9*x2^3 + x1^7*x2^2 + x1^4*x2")
 
+# the benchmark ladders' maps and the curated suite's, each once
+LADDER_AND_CURATED = [(INTRO_F1, INTRO_F2), (BIG_F1, BIG_F2), IRRATIONAL_BOUNDARY,
+                      ("1 + x2^2*(x1-1)^2*(x1+2)*(x1+3)", CURATED[0][2])]
+LADDER_AND_CURATED += [(f"1 + x2^{2 * k}*(x1-1)^2", f"1 + x1*x2^{2 * k} + x2^{4 * k}*(x1-1)^2") for k in (2, 3)]
+LADDER_AND_CURATED += [(f1, f2) for _, f1, f2, _, _ in CURATED if (f1, f2) not in LADDER_AND_CURATED]
+
 
 def rand_dominant_map(rng, max_deg=4, min_terms=4):
     while True:
@@ -142,12 +148,8 @@ def test_non_infinity_edges_are_axis_bound():
 def test_boundary_gcd_has_no_root_at_zero():
     # each z2 = 0 slice of edge_transform keeps a term free of z1 (see its
     # comment), so no boundary root is 0 and the per-root loops need no zero
-    # check; the maps are the benchmark ladders' and the curated suite's
-    maps = [(INTRO_F1, INTRO_F2), (BIG_F1, BIG_F2), IRRATIONAL_BOUNDARY,
-            ("1 + x2^2*(x1-1)^2*(x1+2)*(x1+3)", CURATED[0][2])]
-    maps += [(f"1 + x2^{2 * k}*(x1-1)^2", f"1 + x1*x2^{2 * k} + x2^{4 * k}*(x1-1)^2") for k in (2, 3)]
-    maps += [(f1, f2) for _, f1, f2, _, _ in CURATED]
-    for s1, s2 in maps:
+    # check
+    for s1, s2 in LADDER_AND_CURATED:
         t1, t2, _ = preprocess_translate(P(s1), P(s2), 0)
         A, records = minkowski_sum(newton_polygon(t1), newton_polygon(t2))
         pertinent = [e for e in records if e.pertinent and e.infinity]
@@ -302,6 +304,40 @@ def test_mv_optimization_identity():
         assert key(on) == key(off)
         agree += 1
     assert agree >= 4
+
+
+def _swap_targets(p):
+    i, j = p.vars.index("y1"), p.vars.index("y2")
+    out = {}
+    for e, c in p.terms.items():
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        out[tuple(e)] = c
+    return SparsePoly(out, p.vars)
+
+
+@pytest.mark.parametrize("field", [FIELD_COMPLEX, FIELD_REAL])
+@pytest.mark.parametrize("method", ["resultant", "fulton"])
+def test_swapping_f1_and_f2_swaps_y1_and_y2(field, method):
+    """(f2, f1) has the components of (f1, f2) with y1 and y2 swapped, the
+    parametric pairs reversed, and the same realness.
+
+    Every elimination then sees its operands in the other order.  The sign
+    of a resultant does not show here: the pipeline uses each one up to a
+    unit (its zeros, its factors), so the Sylvester tests pin the signs."""
+    options = Options(mv_optimization=False, method=method, seed=7)
+
+    def key(c, swap):
+        tr = _swap_targets if swap else (lambda p: p)
+        param = c.param and tuple(str(tr(p)) for p in (c.param[::-1] if swap else c.param))
+        defining = c.defining and str(tr(c.defining).normalized())
+        return defining, param, str(c.minpoly), c.realness
+
+    for s1, s2 in LADDER_AND_CURATED:
+        f1, f2 = P(s1), P(s2)
+        expected = sorted(str(key(c, True)) for c in sparse_jelonek_2(f1, f2, field, options).components)
+        got = sorted(str(key(c, False)) for c in sparse_jelonek_2(f2, f1, field, options).components)
+        assert got == expected, (s1, s2)
 
 
 def test_non_dominant_rejected():

@@ -8,7 +8,7 @@ to build the inputs and to read its answers.
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jelonek.poly import DEFAULT_VARS, SparsePoly, resultant, resultant_and_penultimate
 
@@ -116,6 +116,25 @@ def polys(max_deg, low=0, high=3):
     return st.lists(term, min_size=1, max_size=4).map(_poly)
 
 
+def in_powers(k, m, low):
+    """x2^m * f(x2^k), with f of x2-degree at most max(1, (8 - m) // k)."""
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    term = st.tuples(st.integers(0, max(1, (8 - m) // k)), st.tuples(*[st.integers(low, 2)] * len(LIVE)), coeff)
+    return st.lists(term, min_size=1, max_size=4).map(lambda ts: _poly([(m + k * d, lv, c) for d, lv, c in ts]))
+
+
+@st.composite
+def structured_pairs(draw):
+    """Two operands in x2^k for one k in 1..4, each with a factor x2^m, m in 0..2.
+
+    Most pairs have m = 0 on one side at least: both factors give 0 at once.
+    """
+    k = draw(st.integers(1, 4))
+    low = draw(st.sampled_from((0, -2)))
+    ms = draw(st.sampled_from([(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2)]))
+    return tuple(draw(in_powers(k, m, low)) for m in ms)
+
+
 def _pair_ok(p, q):
     return not p.is_zero() and not q.is_zero() and (p.degree(VAR) > 0 or q.degree(VAR) > 0)
 
@@ -182,6 +201,48 @@ def test_penultimate_degree(p, q):
     assert res.terms == _sylvester_minor(p, q, 0)
     first = next(j for j in range(1, q.degree(VAR) + 1) if _sylvester_minor(p, q, j))
     assert pen.degree(VAR) == first
+
+
+_x1, _y1, _y2, _t = (SparsePoly.variable(v) for v in ("x1", "y1", "y2", VAR))
+
+
+@settings(SETTINGS, max_examples=150)
+# both operands with a factor x2: the resultant is 0
+@example(pair=(_t * (_y1 + _t ** 2), _t ** 2 * (_y2 - 1)))
+# c * x2^m is constant in x2 once x2^m is stripped, on either side
+@example(pair=(3 * _y1 * _t ** 2, _y1 + _y2 * _t ** 3 + 1))
+@example(pair=(_x1 * _t ** 5 + _y2 * _t ** 2 - 1, (_y1 - 2) * _t))
+# stripping x2^2 leaves degree 1 against 3: the sign (-1)^(1*3) of a swap
+@example(pair=(_t ** 2 * (_y1 + _t), _y2 + _x1 * _t + _t ** 3))
+# an operand of degree 1 in y = x2^4
+@example(pair=(_t ** 8 + _y2 * _t ** 4 + _x1, _y1 * _t ** 4 - 2))
+# Laurent exponents in the live variables; operands in x2^6 once the
+# factor x2 is stripped
+@example(pair=(SparsePoly.monomial({"y1": -2, VAR: 7}) + _x1 * _t, SparsePoly.monomial({"y2": -1, VAR: 6}) - _y1))
+@given(structured_pairs())
+def test_stripped_and_deflated_operands(pair):
+    """Res(x^m f, g) = g(0)^m Res(f, g), its mirror with (-1)^(deg f), and
+    Res(f(x^k), g(x^k)) = Res(f, g)^k give the Sylvester resultant, in both
+    argument orders."""
+    p, q = pair
+    if not _pair_ok(p, q):
+        return
+    expected = _sylvester_minor(p, q, 0)
+    assert resultant(p, q, VAR).terms == expected
+    sign = -1 if p.degree(VAR) * q.degree(VAR) % 2 else 1
+    assert resultant(q, p, VAR).terms == {e: sign * c for e, c in expected.items()}
+
+
+def test_penultimate_with_a_constant_operand():
+    # Res(p, c) = c^(deg p) in either order, and no subresultant of
+    # positive degree
+    t = SparsePoly.variable(VAR)
+    y1 = SparsePoly.variable("y1")
+    p = y1 * t ** 3 - 2 * t + 5
+    c = y1 ** 2 + 3
+    for a, b in ((p, c), (c, p)):
+        res, pen = resultant_and_penultimate(a, b, VAR)
+        assert res == c ** 3 and pen is None
 
 
 def test_penultimate_of_a_defective_sequence():
