@@ -36,7 +36,7 @@ from .poly import (
     resultant,
     squarefree_part_multivar,
     _dense_quo,
-    _ducos,
+    _resultant_rows,
 )
 from .realroots import (
     RealAlgebraic,
@@ -212,80 +212,57 @@ def _has_parameters(p: SparsePoly) -> bool:
     return bool(p.vars_present() & {"y1", "y2"})
 
 
-def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext | None):
-    """Fulton's recursion for the intersection multiplicity at the z-origin.
+def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext):
+    """Fulton's recursion at the z-origin over Q[a]/(m), the field of an
+    irrational boundary root, and the parameters y1, y2.
 
-    Coefficients live in Q(y1, y2), extended by Q[a]/(m) when ``ctx`` is
-    given.  Returns ``(mult, conditions)``: ``mult`` is the multiplicity
-    valid off the condition curves (infinity when F and G share a component
-    through the origin), and ``conditions`` lists every y-dependent
-    coefficient whose vanishing would raise it.  Without y1, y2 the result
-    is the numeric multiplicity and ``conditions`` is empty (over Q,
-    :func:`_int_fulton` computes it).
-
-    A shared component through the origin is ruled out over Q without a gcd
-    when Res_v(F, G) is nonzero and u does not divide both: a nonzero
-    resultant leaves only v-free common factors, and a v-free factor that
-    vanishes at the origin for every y is divisible by u.  Only when this
-    certificate fails, and always over an extension, is gcd(F, G) taken.
+    Returns ``(mult, conditions)``: ``mult`` is the multiplicity valid off
+    the condition curves (infinity when F and G share a component through
+    the origin, which gcd(F, G) decides), and ``conditions`` lists every
+    y-dependent coefficient whose vanishing would raise it; without y1, y2
+    it is empty.  The content in (y1, y2, a) is divided out after each
+    division by v and each step.  Over Q, :func:`_int_fulton` runs the same
+    steps on integer rows.
     """
     u, v = zvars
 
-    def red(p):
-        return ctx.reduce(p) if ctx is not None else p
-
     def origin_value(p):
-        return red(p.eval_rational({u: QQ(0), v: QQ(0)}))
+        return ctx.reduce(p.eval_rational({u: QQ(0), v: QQ(0)}))
 
-    F, G = red(F), red(G)
+    def strip(p):
+        return ext_content_wrt(p, [x for x in p.vars if x not in zvars], ctx)[1] if _has_parameters(p) else p
+
+    F, G = ctx.reduce(F), ctx.reduce(G)
     if origin_value(F).is_zero() and origin_value(G).is_zero():
         if F.is_zero() or G.is_zero():
             return FULTON_INFINITY, []
-        if ctx is not None or not _resultant_certifies_coprime(F, G, u, v):
-            h = ext_gcd_multivar(F, G, ctx) if ctx is not None else gcd_multivar(F, G)
-            if not h.is_constant() and origin_value(h).is_zero():
-                return FULTON_INFINITY, []
+        h = ext_gcd_multivar(F, G, ctx)
+        if not h.is_constant() and origin_value(h).is_zero():
+            return FULTON_INFINITY, []
     conditions: list[SparsePoly] = []
     mult = 0
     for _ in range(5000):
-        f00 = origin_value(F)
-        g00 = origin_value(G)
+        f00, g00 = origin_value(F), origin_value(G)
         if not f00.is_zero() or not g00.is_zero():
-            conditions.extend(val for val in (f00, g00) if _has_parameters(val))
-            return mult, conditions
-        pF = red(F.eval_rational({v: QQ(0)}))
-        pG = red(G.eval_rational({v: QQ(0)}))
+            return mult, conditions + [val for val in (f00, g00) if _has_parameters(val)]
+        pF, pG = (ctx.reduce(p.eval_rational({v: QQ(0)})) for p in (F, G))
         if pF.is_zero() and pG.is_zero():
             raise PolyError("v divides both operands after the shared-component check")
         if pF.is_zero():
-            F = _strip_parameter_content(_divide_monomial(F, v), zvars, ctx)
+            F = strip(exact_div(F, SparsePoly.variable(v, F.vars)))
             nu = pG.min_degree(u)
-            tc = pG.coeff_of(u, nu)
-            if _has_parameters(tc):
-                conditions.append(tc)
+            conditions += [tc for tc in (pG.coeff_of(u, nu),) if _has_parameters(tc)]
             mult += nu
-            continue
-        if pG.is_zero():
+        elif pG.is_zero() or pF.degree(u) > pG.degree(u):
             F, G = G, F
-            continue
-        dF, dG = pF.degree(u), pG.degree(u)
-        if dF > dG:
-            F, G = G, F
-            continue
-        lcF = pF.coeff_of(u, dF)
-        lcG = pG.coeff_of(u, dG)
-        mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
-        G = red(G * lcF - F * lcG * mono)
-        if G.is_zero():
-            raise PolyError("F divides G after the shared-component check")
-        F, G = _strip_parameter_content(G, zvars, ctx), F
+        else:
+            dF, dG = pF.degree(u), pG.degree(u)
+            mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
+            G = ctx.reduce(G * pF.coeff_of(u, dF) - F * pG.coeff_of(u, dG) * mono)
+            if G.is_zero():
+                raise PolyError("F divides G after the shared-component check")
+            F, G = strip(G), F
     raise PolyError("multiplicity recursion failed to terminate")
-
-
-def _resultant_certifies_coprime(F: SparsePoly, G: SparsePoly, u: str, v: str) -> bool:
-    """True when u does not divide both F and G and Res_v(F, G) != 0.  Both
-    vanish at the origin, so if they pass the first test not both are v-free."""
-    return (F.min_degree(u) == 0 or G.min_degree(u) == 0) and not resultant(F, G, v).is_zero()
 
 
 def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(0, 0),
@@ -298,132 +275,211 @@ def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(
     """
     if ctx is not None:
         return _fulton(F, G, pair, ctx)[0]
-    return _int_fulton(_int_rows(F, pair, point), _int_rows(G, pair, point))
+    return _rows_fulton(F, G, pair, point, ())[0]
 
 
-def _int_rows(p: SparsePoly, pair, point) -> list[dict[int, int]]:
-    """An integer multiple of p((a + u) / q, (b + v) / s) for ``point`` = (a/q, b/s),
-    which has the intersection multiplicities of p at the point at the origin.
-    Row j, the coefficient of v^j, maps the exponent of u to a nonzero int, as
-    in poly._ducos; zero is [{}]."""
-    if p.vars_present() - set(pair) or any(x < 0 for e in p.terms for x in e):
-        raise PolyError(f"not a polynomial in {pair}")
-    iu, iv = p._idx(pair[0]), p._idx(pair[1])
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    terms = {(e[iu], e[iv]): int(c * den) for e, c in p.terms.items()}
-    for x in map(Fraction, point):
-        # shift the first coordinate and swap the two: u^k in q^d * f((a + u) / q)
-        # has the coefficient sum_i c_i * C(i, k) * a^(i-k) * q^(d-i)
-        d, shifted = max((i for i, _ in terms), default=0), {}
-        for (i, j), c in terms.items():
-            for k in range(i + 1) if x else (i,):
-                t = c * comb(i, k) * x.numerator ** (i - k) * x.denominator ** (d - i)
-                shifted[j, k] = shifted.get((j, k), 0) + t
-        terms = shifted
-    # the top row of p stays nonzero, so no empty row trails
-    rows: list[dict[int, int]] = [{} for _ in range(max((j for _, j in terms), default=0) + 1)]
-    for (i, j), c in terms.items():
-        if c:
-            rows[j][i] = c
-    return rows
+@dataclass(frozen=True)
+class _Rows:
+    """Polynomials in ``pair`` = (u, v) over Z[``params``] as integer rows,
+    in the format of poly._ducos: row j, the coefficient of v^j, maps a key
+    to a nonzero int; zero is [{}].  The key packs the exponent of each
+    parameter into a field ``width`` bits wide, the first parameter lowest,
+    and the exponent of u above them all."""
+
+    pair: tuple[str, str]
+    params: tuple[str, ...]
+    width: int
+    variables: tuple[str, ...]
+
+    def pack(self, p: SparsePoly, point=(0, 0)) -> list[dict[int, int]]:
+        """An integer multiple of p((a + u) / q, (b + v) / s) for ``point`` =
+        (a/q, b/s), which has the intersection multiplicities of p at the
+        point at the origin."""
+        if p.vars_present() - {*self.pair, *self.params} or any(x < 0 for e in p.terms for x in e):
+            raise PolyError(f"not a polynomial in {self.pair}")
+        iu, iv = p._idx(self.pair[0]), p._idx(self.pair[1])
+        fields = [(p._idx(y), t * self.width) for t, y in enumerate(self.params)]
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {(e[iu], e[iv], sum(e[i] << s for i, s in fields)): int(c * den) for e, c in p.terms.items()}
+        for x in map(Fraction, point):
+            # shift the first coordinate and swap the two: u^k in q^d * f((a + u) / q)
+            # has the coefficient sum_i c_i * C(i, k) * a^(i-k) * q^(d-i)
+            d, shifted = max((i for i, _, _ in terms), default=0), {}
+            for (i, j, y), c in terms.items():
+                for k in range(i + 1) if x else (i,):
+                    t = c * comb(i, k) * x.numerator ** (i - k) * x.denominator ** (d - i)
+                    shifted[j, k, y] = shifted.get((j, k, y), 0) + t
+            terms = shifted
+        # the top row of p stays nonzero, so no empty row trails
+        su = self.width * len(self.params)
+        rows: list[dict[int, int]] = [{} for _ in range(max((j for _, j, _ in terms), default=0) + 1)]
+        for (i, j, y), c in terms.items():
+            if c:
+                rows[j][i << su | y] = c
+        return rows
+
+    def poly(self, rows: list[dict[int, int]]) -> SparsePoly:
+        """The polynomial that :meth:`pack` turns into ``rows`` at the origin."""
+        su, mask = self.width * len(self.params), (1 << self.width) - 1
+        iu, iv, *iy = (self.variables.index(x) for x in (*self.pair, *self.params))
+        terms = {}
+        for j, row in enumerate(rows):
+            for key, c in row.items():
+                e = [0] * len(self.variables)
+                e[iu], e[iv] = key >> su, j
+                for t, i in enumerate(iy):
+                    e[i] = key >> t * self.width & mask
+                terms[tuple(e)] = c
+        return SparsePoly(terms, self.variables)
 
 
-def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]]):
-    """:func:`_fulton` at the origin without parameters, on integer rows,
-    with the integer content divided out after every step."""
-    if not F[0].get(0) and not G[0].get(0):
+def _rows_fulton(F: SparsePoly, G: SparsePoly, pair, point, params):
+    """Fulton's recursion at the rational ``point`` for F, G over
+    Q[``params``], on integer rows: ``(mult, conditions)`` as :func:`_fulton`.
+
+    Packed fields never carry.  The exponent of u, in the top field, is
+    unbounded.  A parameter field is ``width`` bits wide, its top bit a guard
+    bit.  The resultant certificate (poly._resultant_rows on the packed F
+    and G) forms products and subresultants of degree below (n + 2) * n * d
+    in a parameter, n the larger degree in v and d the largest sum of the
+    two degrees in one parameter (the bound of poly._subresultants); the
+    width holds that without its guard bit.  A Fulton step multiplies rows
+    whose fields are below the guard bit, so each sum fits its field, and a
+    step that sets a guard bit restarts the recursion with fields twice as
+    wide.  Dividing out a content only lowers exponents.
+    """
+    params = tuple(y for y in params if F.degree(y) > 0 or G.degree(y) > 0)
+    n = max(F.degree(pair[1]), G.degree(pair[1]), 1)
+    d = max([F.degree(y) + G.degree(y) for y in params] + [1])
+    width = ((n + 2) * n * d).bit_length() + 1
+    while True:
+        rows = _Rows(pair, params, width, F.vars)
+        out = _int_fulton(rows.pack(F, point), rows.pack(G, point), rows)
+        if out is not None:
+            return out[0], [rows.poly([c]) for c in out[1]]
+        width *= 2
+
+
+def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]], rows: _Rows):
+    """:func:`_fulton` at the origin on integer rows packed by ``rows``.
+
+    The integer content is divided out after each step (F / v has the
+    coefficients of F), the content in the parameters also after each
+    division by v, as :func:`_fulton` does.  Returns ``(mult, conditions)``
+    with packed conditions, or None when a step sets a guard bit.
+    """
+    su = rows.width * len(rows.params)
+    top = 1 << su  # keys below top have no u
+    low = top - 1  # the parameter fields
+    guard = sum(1 << s - 1 for s in range(rows.width, su + 1, rows.width))
+
+    def coeff(row, i):  # the coefficient of u^i
+        return {k - (i << su): c for k, c in row.items() if k >> su == i}
+
+    def primitive(R):  # R over its content in the parameters, which is 1
+        # when the coefficient of one monomial in u, v is an integer
+        if not low:
+            return R
+        for row in R:
+            mixed = {k >> su for k in row if k & low}
+            if any(k >> su not in mixed for k in row if not k & low):
+                return R
+        return rows.pack(content_wrt(rows.poly(R), rows.params)[1])
+
+    if min(F[0], default=top) >= top and min(G[0], default=top) >= top:  # both vanish at the origin
         if not any(F) or not any(G):
-            return FULTON_INFINITY
-        # _resultant_certifies_coprime on the engine; Res_v(P, Q) != 0 for a v-free Q
-        P, Q = (F, G) if len(F) >= len(G) else (G, F)
-        if not any(0 in row for row in F + G) or len(Q) > 1 and not _ducos(P, Q)[0]:
-            h = gcd_multivar(*(SparsePoly({(i, j): c for j, row in enumerate(R) for i, c in row.items()},
-                                          ("u", "v")) for R in (F, G)))
-            if not h.is_constant() and (0, 0) not in h.terms:
-                return FULTON_INFINITY
+            return FULTON_INFINITY, []
+        # A nonzero Res_v(F, G) leaves only v-free common factors, and a
+        # v-free factor that vanishes at the origin for every parameter
+        # value is divisible by u.  So when u does not divide both and
+        # Res_v(F, G) != 0, no component through the origin is shared;
+        # otherwise the gcd decides.
+        if all(k > low for row in F + G for k in row) or not _resultant_rows(F, G):
+            h = gcd_multivar(rows.poly(F), rows.poly(G))
+            if not h.is_constant() and h.eval_rational(dict.fromkeys(rows.pair, QQ(0))).is_zero():
+                return FULTON_INFINITY, []
     # Now F and G share no component through the origin, and no step makes
     # one: a swap, a division by the content and G -> lc(F)*G - lc(G)*u^k*F
     # keep the ideal (F, G), and F -> F/v keeps a divisor of F.  So the two
     # raises below, a shared v and F dividing G, never run.
-    mult = 0
+    mult, conditions = 0, []
     for _ in range(5000):
-        if F[0].get(0) or G[0].get(0):
-            return mult
+        if min(F[0], default=top) < top or min(G[0], default=top) < top:
+            return mult, conditions + [c for c in (coeff(F[0], 0), coeff(G[0], 0)) if any(c)]
         pF, pG = F[0], G[0]
         if not pF and not pG:
             raise PolyError("v divides both operands after the shared-component check")
         if not pF:
-            F, mult = F[1:], mult + min(pG)
-        elif not pG or max(pF) > max(pG):
+            nu = min(pG) >> su
+            if low:
+                conditions += [tc for tc in (coeff(pG, nu),) if any(tc)]
+            F, mult = primitive(F[1:]), mult + nu
+            continue
+        dF, dG = max(pF) >> su, max(pG, default=-1) >> su
+        if dF > dG:
             F, G = G, F
         else:
-            dF, dG = max(pF), max(pG)
-            H = [{i: pF[dF] * c for i, c in row.items()} for row in G] + [{} for _ in F[len(G):]]
-            for h, row in zip(H, F):
-                for i, c in row.items():
-                    h[i + dG - dF] = h.get(i + dG - dF, 0) - pG[dG] * c
-            g = gcd(*(c for row in H for c in row.values()))
+            # H = lc(F)*G - lc(G)*u^(dG - dF)*F: G times the first term of
+            # lc(F) by comprehensions, the other products added term by term
+            lcF = coeff(pF, dF)
+            m = {k - (dF << su): -c for k, c in pG.items() if k >> su == dG}
+            (k0, c0), *more = lcF.items()
+            H = [{k + k0: c * c0 for k, c in g.items()} for g in G] + [{} for _ in F[len(G):]]
+            for R, lc in ((G, more), (F, m.items())):
+                for h, row in zip(H, R):
+                    for kl, cl in lc:
+                        for k, c in row.items():
+                            h[k + kl] = h.get(k + kl, 0) + cl * c
+            g = gcd(*(c for h in H for c in h.values()))
             if not g:
                 raise PolyError("F divides G after the shared-component check")
-            F, G = [{i: c // g for i, c in row.items() if c} for row in H], F
+            F, G = primitive([{k: c // g for k, c in h.items() if c} for h in H]), F
+            if guard and any(k & guard for row in F for k in row):
+                return None
     raise PolyError("multiplicity recursion failed to terminate")
 
 
 def fulton_condition_polynomials(G1: SparsePoly, G2: SparsePoly, ctx: ExtContext | None = None,
-                                 zvars=("z1", "z2")) -> tuple[int, list[SparsePoly]]:
-    """Generic multiplicity at the z-origin plus the jump-condition loci.
+                                 point=(0, 0)) -> tuple[int, list[SparsePoly]]:
+    """Generic multiplicity at (z1, z2) = ``point`` plus the jump-condition loci.
 
-    Runs the reduction symbolically over the parameter field: the generic
+    Runs the reduction symbolically over the parameters y1, y2: the generic
     branch computes the multiplicity valid off a finite set of condition
     curves, and every y-dependent coefficient whose vanishing would raise
-    the multiplicity is emitted as a condition polynomial.
+    the multiplicity is emitted as a condition polynomial.  Without ``ctx``
+    the coefficients are in Q[y1, y2], the point is rational and the
+    recursion runs on integer rows, shifted to the point while packing.
+    With ``ctx``, the arithmetic of an irrational boundary root, the point
+    is the origin and the recursion runs on ``SparsePoly``s.
     """
-    mult, conditions = _fulton(G1, G2, zvars, ctx)
+    if ctx is None:
+        mult, conditions = _rows_fulton(G1, G2, ("z1", "z2"), point, ("y1", "y2"))
+    else:
+        mult, conditions = _fulton(G1, G2, ("z1", "z2"), ctx)
     if mult == FULTON_INFINITY:
         raise PolyError("shared component through the boundary point")
     return mult, conditions
 
 
-def _divide_monomial(p: SparsePoly, var: str) -> SparsePoly:
-    i = p._idx(var)
-    out = {}
-    for exps, c in p.terms.items():
-        if exps[i] < 1:
-            raise PolyError("not divisible by the variable")
-        e = list(exps)
-        e[i] -= 1
-        out[tuple(e)] = c
-    return SparsePoly(out, p.vars)
-
-
-def _strip_parameter_content(p: SparsePoly, zvars, ctx: ExtContext | None) -> SparsePoly:
-    """Primitive part of p with respect to the z-monomials: divide out the
-    gcd of the coefficient polynomials in (y1, y2[, a])."""
-    if not _has_parameters(p):
-        return p
-    inner = [v for v in p.vars if v not in zvars]
-    return ext_content_wrt(p, inner, ctx)[1] if ctx is not None else content_wrt(p, inner)[1]
-
-
 # -- working at a boundary root rho ----------------------------------------------
 
 
-def _shift_to_rho(g1: SparsePoly, g2: SparsePoly, rho: RealAlgebraic):
-    """g1, g2 with z1 -> z1 + rho; an irrational rho is written as ``a``,
-    the root of the modulus that :func:`at_root` holds."""
-    z1 = SparsePoly.variable("z1", g1.vars)
-    if rho.is_rational():
-        shift = z1 + SparsePoly.constant(rho.as_fraction(), g1.vars)
-    else:
-        shift = z1 + SparsePoly.variable("a", g1.vars)
+def _shift_to_a(g1: SparsePoly, g2: SparsePoly):
+    """g1, g2 with z1 -> z1 + a, for an irrational boundary root written as
+    ``a``, the root of the modulus that :func:`at_root` holds."""
+    shift = SparsePoly.variable("z1", g1.vars) + SparsePoly.variable("a", g1.vars)
     return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift)
 
 
 def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     """Multiplicity-set components for one boundary root via the symbolic
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
-    G1, G2 = _shift_to_rho(sys.g1, sys.g2, rho)
-    modulus, (_, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx), variables=G1.vars)
+    if rho.is_rational():
+        modulus, conds = None, fulton_condition_polynomials(sys.g1, sys.g2, point=(rho.as_fraction(), 0))[1]
+    else:
+        G1, G2 = _shift_to_a(sys.g1, sys.g2)
+        modulus, (_, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx),
+                                      variables=G1.vars)
     out = []
     for c in conds:
         if modulus is None:
@@ -439,8 +495,10 @@ def ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
     """Fulton-based multiplicity sets for all boundary roots.
 
     Real field: per real root.  Complex field: conditions are gathered over
-    every factor of the squarefree part of g and pushed down to Q by norm
-    forms, to compare against the resultant route.
+    every factor of the squarefree part of g, by dynamic splitting, and
+    pushed down to Q by norm forms, to compare against the resultant route.
+    A linear factor's root is rational: there the recursion takes the
+    unshifted g1, g2 and that point, and runs on integer rows.
     """
     if sys.g.degree("z1") < 1:
         return []
@@ -451,13 +509,15 @@ def ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
             for root in real_roots(factor):
                 out.extend(ms_fulton(sys, root))
         return out
-    # complex: dynamic splitting over the full squarefree part
+
+    def conditions(ctx: ExtContext):
+        if ctx.deg == 1:
+            c0, c1 = dense_int(ctx.minpoly, "a")
+            return fulton_condition_polynomials(sys.g1, sys.g2, point=(Fraction(-c0, c1), 0))
+        return fulton_condition_polynomials(*_shift_to_a(sys.g1, sys.g2), ctx)
+
     mp = _z1_to_a(squarefree_part_multivar(sys.g))
-    z1 = SparsePoly.variable("z1", sys.g1.vars)
-    a = SparsePoly.variable("a", sys.g1.vars)
-    G1 = sys.g1.subs_poly("z1", z1 + a)
-    G2 = sys.g2.subs_poly("z1", z1 + a)
-    results = with_dynamic_splitting(mp, "a", lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+    results = with_dynamic_splitting(mp, "a", conditions)
     norms = [norm_form(c.normalized(), m_factor) for m_factor, (_, conds) in results for c in conds]
     return _dedup_components([Component(defining=f, realness="not-applicable")
                               for n in norms for f in _split_factors(n)])
@@ -501,7 +561,7 @@ def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction
     g1, g2 = sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt)
     if rho.is_rational():
         return fulton_multiplicity(g1, g2, point=(rho.as_fraction(), 0))
-    G1, G2 = _shift_to_rho(g1, g2, rho)
+    G1, G2 = _shift_to_a(g1, g2)
     return at_root(rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx), variables=G1.vars)[1]
 
 

@@ -529,13 +529,11 @@ def _count_sheared(F1: SparsePoly, F2: SparsePoly) -> tuple[int, int]:
 def at_root(alpha: RealAlgebraic, compute, var: str = "a", variables=DEFAULT_VARS):
     """``(modulus, compute(ctx))`` with ctx the arithmetic of Q(alpha).
 
-    For rational alpha both are None.  Otherwise alpha is ``var``, a root
-    of the modulus, which starts as alpha's dense form; a zero divisor
-    narrows the modulus to the factor that holds alpha, and the computation
-    reruns there.
+    alpha is ``var``, a root of the modulus, which starts as alpha's dense
+    form; a zero divisor narrows the modulus to the factor that holds alpha,
+    and the computation reruns there.  The callers take a rational alpha on
+    their own rational paths.
     """
-    if alpha.is_rational():
-        return None, compute(None)
     modulus = from_dense(alpha.dense, var, variables)
     while True:
         try:

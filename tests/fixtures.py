@@ -14,6 +14,13 @@ INTRO_F2 = "5 + 12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5"
 # the first curated map with (x1 - 1) replaced by x1^2 - 3: its pertinent
 # boundary roots are irrational, +-sqrt(3)
 IRRATIONAL_BOUNDARY = ("1 + x2^2*(x1^2-3)^2*(x1+2)", "1 + x1*x2^2 + x2^4*(x1^2-3)^2")
+# the third curated map with (x1 - 1) replaced by (x1 - 1)*(x1^2 - 3): one
+# squarefree factor of the boundary polynomial has a rational root and two
+# irrational ones
+MIXED_BOUNDARY = ("1 + x2^2*((x1-1)*(x1^2-3))^2*(x1+2)", "1 + x1*x2^2 + x2^4*((x1-1)*(x1^2-3))^2")
+# the boundary modulus (a - 1)*(a^2 - 3) of this map splits over C into a
+# linear factor, whose root 1 is rational, and a quadratic one
+SPLIT_MODULUS = ("1 + x2^2*(x1-1)^2*(x1^2-3)", "1 + x1*x2^2 + x2^4*(x1-1)^2*(x1^2-3)^2")
 
 # the larger worked example, with the sign of x1^7*x2^2 fixed to the value
 # consistent with its own per-edge outputs (see the decisions ledger)

@@ -14,7 +14,7 @@ from functools import cmp_to_key
 
 import mpmath as mp
 
-from jelonek.multiplicity import jacobian_det
+from jelonek.multiplicity import FULTON_INFINITY, jacobian_det, _has_parameters
 from jelonek.polytope import LatticePolygon, _cross, _on_segment
 from jelonek.poly import (
     PolyError,
@@ -123,6 +123,65 @@ def content_by_coefficient_gcd(p: SparsePoly, inner_vars) -> tuple[SparsePoly, S
         content = gcd_multivar(content, c)
     content = content.normalized()
     return content, exact_div(p, content)
+
+
+def resultant_certifies_coprime(f: SparsePoly, g: SparsePoly, u: str, v: str) -> bool:
+    """True when u does not divide both f and g and Res_v(f, g) != 0.  Both
+    vanish at the origin, so if they pass the first test not both are v-free."""
+    return (f.min_degree(u) == 0 or g.min_degree(u) == 0) and not resultant(f, g, v).is_zero()
+
+
+def fulton_oracle(f: SparsePoly, g: SparsePoly, zvars=("z1", "z2")):
+    """Reference Fulton recursion at the z-origin over Q(y1, y2), on
+    ``SparsePoly`` arithmetic: ``(mult, conditions)`` as the library's
+    recursion gives them, the conditions up to rational multiples.
+
+    A shared component through the origin is ruled out by
+    :func:`resultant_certifies_coprime`, and by gcd(f, g) when that fails.
+    The content in y1, y2 is divided out after each division by v and each
+    step.
+    """
+    u, v = zvars
+
+    def origin_value(p):
+        return p.eval_rational({u: F(0), v: F(0)})
+
+    def strip(p):
+        return content_wrt(p, [x for x in p.vars if x not in zvars])[1] if _has_parameters(p) else p
+
+    if origin_value(f).is_zero() and origin_value(g).is_zero():
+        if f.is_zero() or g.is_zero():
+            return FULTON_INFINITY, []
+        if not resultant_certifies_coprime(f, g, u, v):
+            h = gcd_multivar(f, g)
+            if not h.is_constant() and origin_value(h).is_zero():
+                return FULTON_INFINITY, []
+    conditions: list[SparsePoly] = []
+    mult = 0
+    for _ in range(5000):
+        f00, g00 = origin_value(f), origin_value(g)
+        if not f00.is_zero() or not g00.is_zero():
+            return mult, conditions + [val for val in (f00, g00) if _has_parameters(val)]
+        pf, pg = f.eval_rational({v: F(0)}), g.eval_rational({v: F(0)})
+        if pf.is_zero() and pg.is_zero():
+            raise PolyError("v divides both operands after the shared-component check")
+        if pf.is_zero():
+            f = strip(exact_div(f, SparsePoly.variable(v, f.vars)))
+            nu = pg.min_degree(u)
+            tc = pg.coeff_of(u, nu)
+            if _has_parameters(tc):
+                conditions.append(tc)
+            mult += nu
+        elif pg.is_zero() or pf.degree(u) > pg.degree(u):
+            f, g = g, f
+        else:
+            df, dg = pf.degree(u), pg.degree(u)
+            mono = SparsePoly.monomial({u: dg - df}, 1, f.vars)
+            h = g * pf.coeff_of(u, df) - f * pg.coeff_of(u, dg) * mono
+            if h.is_zero():
+                raise PolyError("f divides g after the shared-component check")
+            f, g = strip(h), f
+    raise PolyError("multiplicity recursion failed to terminate")
 
 
 def _decomposition_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY
+from fixtures import (BIG_F1, BIG_F2, CURATED, INTRO_F1, INTRO_F2, IRRATIONAL_BOUNDARY, MIXED_BOUNDARY,
+                      SPLIT_MODULUS)
 from jelonek.cli import main
 
 NONEMPTY_LINE = CURATED[1][1:3]
@@ -41,6 +42,7 @@ TANGENCY = ("x2 - 2/3 - 3/2*(x1 - 1/2)^2",
 # elimination of z2 has operands in z2^8, a remainder sequence with gaps
 EVEN_ROW_4 = ("1 + x2^8*(x1-1)^2", "1 + x1*x2^8 + x2^16*(x1-1)^2")
 RESULTANT_ROUTE = ["--method", "resultant", "--no-mv-optimization", "--json"]
+FULTON_ROUTE = ["--json", "--method", "fulton", "--no-mv-optimization"]
 
 CASES = {
     "irrational-boundary-real-resultant":
@@ -68,6 +70,12 @@ CASES = {
     "mv-skipped-text": ["compute", *MV_SKIPPED],
     "even-row-4-complex-resultant": ["compute", *EVEN_ROW_4, *RESULTANT_ROUTE],
     "even-row-4-real-resultant": ["compute", *EVEN_ROW_4, "--field", "real", *RESULTANT_ROUTE],
+    # the Fulton route at rational boundary roots: the linear moduli
+    # 30*a + 7 and 3*a - 2 over C, the rational root 1 next to a quadratic
+    # modulus over R, and a cubic modulus that splits into a - 1 and a^2 - 3
+    "big-complex-fulton": ["compute", BIG_F1, BIG_F2, *FULTON_ROUTE],
+    "mixed-boundary-real-fulton": ["compute", *MIXED_BOUNDARY, "--field", "real", *FULTON_ROUTE],
+    "split-modulus-complex-fulton": ["compute", *SPLIT_MODULUS, *FULTON_ROUTE],
     "polytope-intro-text": ["polytope", INTRO_F1, INTRO_F2],
     "baseline-intro": ["baseline", INTRO_F1, INTRO_F2, "--json"],
     "mv-check-intro": ["mv-check", INTRO_F1, INTRO_F2, "--json"],

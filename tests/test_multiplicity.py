@@ -7,8 +7,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixtures import CURATED, IRRATIONAL_BOUNDARY
-from oracles import crossing_neighbours, discriminant_curve_oracle, escape_oracle
+from fixtures import CURATED, IRRATIONAL_BOUNDARY, MIXED_BOUNDARY
+from oracles import (crossing_neighbours, discriminant_curve_oracle, escape_oracle, fulton_oracle,
+                     resultant_certifies_coprime)
 from strategies import polys_in
 from jelonek import multiplicity
 from jelonek.parsing import parse_polynomial as P
@@ -23,7 +24,7 @@ from jelonek.poly import (
     squarefree_part_multivar,
 )
 from jelonek.core import edge_transform, minkowski_sum, newton_polygon, sparse_jelonek_2, Options
-from jelonek.extension import ZeroDivisor
+from jelonek.extension import ExtContext, ZeroDivisor
 from jelonek.multiplicity import (
     FULTON_INFINITY,
     EdgeSystem,
@@ -39,13 +40,15 @@ from jelonek.multiplicity import (
     _eval_possibly_ext,
     _find_rational_point_on,
     _fulton,
+    _int_fulton,
     _line_roots,
     _multiplicity_at_rho,
     _odd_jump_shortcut,
-    _resultant_certifies_coprime,
+    _rows_fulton,
+    _Rows,
     _ScanLine,
     _scan_and_count,
-    _shift_to_rho,
+    _shift_to_a,
     _verdict_at_point,
 )
 from jelonek.realroots import (
@@ -76,10 +79,6 @@ INTRO_F2 = P("5 + 12*x1*x2 - 10*x1^2*x2^3 + 2*x1^3*x2^5")
 # infinity while u -> +-sqrt(2) reaches every point of the rational line
 # y1 + y2 = 6, the component of both irrational boundary roots.
 IRRATIONAL_RHO_LINE = ("1 + x1*x2*(x1^2*x2^4 - 2)", "5 + x1*x2*(x1^2*x2^4 - 2)*(x1^2*x2^4 - 3)")
-# the third curated map with (x1 - 1) replaced by (x1 - 1)*(x1^2 - 3): one
-# squarefree factor of the boundary polynomial has a rational root and two
-# irrational ones
-MIXED_BOUNDARY = ("1 + x2^2*((x1-1)*(x1^2-3))^2*(x1+2)", "1 + x1*x2^2 + x2^4*((x1-1)*(x1^2-3))^2")
 
 
 def intro_edge_system():
@@ -179,6 +178,9 @@ def test_fulton_multiplicity_basics():
     # a zero operand contains every curve: I(F, 0) is 0 off F and infinite on it
     assert fulton_multiplicity(z1 + 1, SparsePoly.zero()) == 0
     assert fulton_multiplicity(z1, SparsePoly.zero()) == FULTON_INFINITY
+    sqrt2 = ExtContext(SparsePoly.variable("a") ** 2 - 2)
+    assert fulton_multiplicity(z1 + 1, SparsePoly.zero(), ctx=sqrt2) == 0
+    assert fulton_multiplicity(SparsePoly.zero(), z1, ctx=sqrt2) == FULTON_INFINITY
     # generic line products: mu = m * n
     rng = random.Random(11)
     for _ in range(8):
@@ -210,6 +212,7 @@ def test_fulton_condition_polynomials_trailing_coefficient():
 
 
 ZPAIR = ("z1", "z2")
+PARAMS = ("y1", "y2")
 
 
 def _shift_origin_to(p, point):
@@ -242,9 +245,60 @@ def test_integer_fulton_matches_the_sparse_recursion(Fl, Gl, h, through_origin, 
         Fl = SparsePoly.zero()
     elif case == "zero G":
         Gl = SparsePoly.zero()
-    expected = _fulton(Fl, Gl, ZPAIR, None)[0]
+    expected = fulton_oracle(Fl, Gl)[0]
     assert fulton_multiplicity(_shift_origin_to(Fl, point), _shift_origin_to(Gl, point), point=point) == expected
     assert fulton_multiplicity(Fl, Gl) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(*[st.builds(lambda a, b, c: a + b + c, polys_in(ZPAIR, max_deg=1, max_terms=3),
+                   polys_in(ZPAIR, max_deg=3, max_terms=3),
+                   polys_in(ZPAIR + PARAMS, max_deg=1, max_terms=3)).filter(lambda p: len(p.terms) >= 4)] * 2,
+       polys_in(ZPAIR + PARAMS, max_deg=1, max_terms=3), polys_in(PARAMS, max_deg=1, max_terms=2),
+       st.sampled_from(["plain", "plain", "through", "off", "content F", "content both", "zero F", "zero G"]),
+       st.tuples(*[st.builds(F, st.integers(-3, 3), st.integers(1, 3))] * 2))
+def test_integer_rows_match_the_fulton_oracle(Fl, Gl, h, c, case, point):
+    # with y1, y2 in the coefficients: the integer rows of the curves moved
+    # to a rational point give the oracle's multiplicity at the origin, and
+    # its conditions up to rational multiples
+    def through_origin(p):
+        return p - p.eval_rational({"z1": 0, "z2": 0})
+
+    Fl, Gl = through_origin(Fl), through_origin(Gl)
+    if case == "through":  # a common factor through the origin
+        Fl, Gl = Fl * through_origin(h), Gl * through_origin(h)
+    elif case == "off":  # a common factor off it
+        Fl, Gl = Fl * (through_origin(h) + 1), Gl * (through_origin(h) + 1)
+    elif case.startswith("content") and not c.is_constant():  # no coefficient of Fl is an integer
+        Fl, Gl = Fl * c, (Gl * c if case == "content both" else Gl)
+    elif case == "zero F":
+        Fl = SparsePoly.zero()
+    elif case == "zero G":
+        Gl = SparsePoly.zero()
+    mult, conds = fulton_oracle(Fl, Gl)
+    got = _rows_fulton(_shift_origin_to(Fl, point), _shift_origin_to(Gl, point), ZPAIR, point, PARAMS)
+    assert (got[0], [p.normalized() for p in got[1]]) == (mult, [p.normalized() for p in conds])
+
+
+def test_integer_rows_divide_out_a_parameter_content():
+    # F / z2 = y1 + 1 has no integer coefficient, so its content comes off
+    # by a gcd; left on, it would be the condition y1 + 1 at the end
+    assert _rows_fulton((y1 + 1) * z2, z2 - z1 ** 2, ZPAIR, (0, 0), PARAMS) == (2, [])
+    assert fulton_condition_polynomials((y1 + 1) * z2, z2 - (z1 - 3) ** 2, point=(3, 0)) == (2, [])
+
+
+def test_integer_rows_widen_the_fields_past_a_guard_bit():
+    # the first width for this pair is 3 bits: y1^4 reaches the guard bit
+    # of its field, and the recursion restarts with wider fields
+    Fp, Gp = 2 * z1 ** 4, z1 ** 3 - z1 * y1 + 2 * z2
+    results = []
+    for width in (3, 4):
+        rows = _Rows(ZPAIR, ("y1",), width, Fp.vars)
+        results.append(_int_fulton(rows.pack(Fp), rows.pack(Gp), rows))
+    assert results == [None, (4, [{2: -1}, {2: -1}, {2: -1}, {4: 1}, {3: 1}])]
+    mult, conds = _rows_fulton(Fp, Gp, ZPAIR, (0, 0), PARAMS)
+    assert (mult, conds) == (4, [-y1 ** 2] * 3 + [y1 ** 4, y1 ** 3])
+    assert fulton_oracle(Fp, Gp)[0] == 4
 
 
 def test_integer_fulton_pins_the_shared_component_exits():
@@ -286,10 +340,19 @@ FULTON_ROUTES = {
 
 @pytest.mark.parametrize("name", FULTON_ROUTES)
 def test_fulton_shared_component_routes(name):
+    # the oracle, the integer rows at the origin and at a rational point, and
+    # the recursion over Q(sqrt(2)) give the same result in both orders
     Fp, Gp, certified, expected = FULTON_ROUTES[name]
-    assert _resultant_certifies_coprime(Fp, Gp, "z1", "z2") == certified
-    assert _fulton(Fp, Gp, ("z1", "z2"), None) == expected
-    assert _fulton(Gp, Fp, ("z1", "z2"), None)[0] == expected[0]
+    assert resultant_certifies_coprime(Fp, Gp, "z1", "z2") == certified
+    assert fulton_oracle(Fp, Gp) == expected
+    point = (F(1, 2), F(-2, 3))
+    sqrt2 = ExtContext(SparsePoly.variable("a") ** 2 - 2)
+    for A, B in ((Fp, Gp), (Gp, Fp)):
+        mult, conds = fulton_oracle(A, B)
+        assert mult == expected[0]
+        for got in (_rows_fulton(A, B, ZPAIR, (0, 0), PARAMS), _fulton(A, B, ZPAIR, sqrt2),
+                    _rows_fulton(_shift_origin_to(A, point), _shift_origin_to(B, point), ZPAIR, point, PARAMS)):
+            assert (got[0], [c.normalized() for c in got[1]]) == (mult, [c.normalized() for c in conds])
 
 
 def test_ms_fulton_intro():
@@ -330,8 +393,11 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
                 continue
             for factor, _ in dense_squarefree(dense_int(sys.g, "z1")):
                 for rho in real_roots(factor):
-                    G1, G2 = _shift_to_rho(sys.g1, sys.g2, rho)
-                    _, (mult, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+                    if rho.is_rational():
+                        mult, conds = fulton_condition_polynomials(sys.g1, sys.g2, point=(rho.as_fraction(), 0))
+                    else:
+                        G1, G2 = _shift_to_a(sys.g1, sys.g2)
+                        _, (mult, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
                     for _ in range(6):
                         pt = (F(rng.randrange(-40, 41), rng.randrange(1, 6)),
                               F(rng.randrange(-40, 41), rng.randrange(1, 6)))
