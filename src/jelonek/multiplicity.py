@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -22,6 +21,7 @@ from .extension import (
     ext_content_wrt,
     ext_gcd_multivar,
     with_dynamic_splitting,
+    _split_where_zero,
 )
 from .poly import (
     PolyError,
@@ -66,32 +66,6 @@ class EdgeSystem:
     g: SparsePoly  # gcd of the z2 = 0 slices, in Z[z1]
     transform: object
     edge: object
-
-    # The two eliminations and their content splits are computed once per
-    # edge and shared by ms_resultant and every real component's shortcut.
-
-    @cached_property
-    def R1(self) -> SparsePoly:
-        """Res_z2(g1, g2), a polynomial in (z1, y1, y2)."""
-        return resultant(self.g1, self.g2, "z2")
-
-    @cached_property
-    def R2(self) -> SparsePoly:
-        """Res_z1(g1, g2), a polynomial in (z2, y1, y2)."""
-        return resultant(self.g1, self.g2, "z1")
-
-    @cached_property
-    def R12(self) -> SparsePoly:
-        """R1 with its content in z1 divided out."""
-        return content_wrt(self.R1, ["z1"])[1]
-
-    @cached_property
-    def J2(self) -> SparsePoly:
-        """R2 with its content in z2 divided out, at z2 = 0."""
-        R21, R22 = content_wrt(self.R2, ["z2"])
-        if set(R21.vars_present()) - {"z2"}:
-            raise PolyError("z2 content split failed")
-        return R22.eval_rational({"z2": 0})
 
 
 @dataclass
@@ -158,9 +132,15 @@ def ms_resultant(sys: EdgeSystem, fld: str) -> list[Component]:
     """
     if sys.g.degree("z1") < 1:
         return []
-    if sys.R1.is_zero() or sys.R2.is_zero():
+    # the two eliminations, in (z1, y1, y2) and (z2, y1, y2)
+    R1, R2 = resultant(sys.g1, sys.g2, "z2"), resultant(sys.g1, sys.g2, "z1")
+    if R1.is_zero() or R2.is_zero():
         raise PolyError("transformed system not zero-dimensional for generic y")
-    R12, J2 = sys.R12, sys.J2
+    R12 = content_wrt(R1, ["z1"])[1]
+    R21, R22 = content_wrt(R2, ["z2"])
+    if R21.vars_present() - {"z2"}:
+        raise PolyError("z2 content split failed")
+    J2 = R22.eval_rational({"z2": 0})
     if J2.is_zero():
         raise PolyError("residual factor vanishes at z2 = 0")
     if fld == "C":
@@ -223,37 +203,54 @@ def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext):
     it is empty.  The content in (y1, y2, a) is divided out after each
     division by v and each step.  Over Q, :func:`_int_fulton` runs the same
     steps on integer rows.
+
+    m need not be irreducible.  Each value the recursion branches on (an
+    origin value, the leading coefficient in u of F or G at v = 0, the
+    trailing one that gives a division's order in u) is tested on every
+    factor of m first: where it vanishes on a proper factor, that factor is
+    raised as :class:`ZeroDivisor` (dynamic evaluation, Della Dora,
+    Dicrescenzo and Duval, EUROCAL 1985), so the caller reruns on a factor
+    of m over which each branch is the same as over Q(alpha).
     """
     u, v = zvars
 
     def origin_value(p):
         return ctx.reduce(p.eval_rational({u: QQ(0), v: QQ(0)}))
 
+    def is_zero(p):  # p is 0, or its leading coefficient in u vanishes on no factor of m
+        if p.is_zero():
+            return True
+        _split_where_zero(p.coeff_of(u, p.degree(u)), ctx)
+        return False
+
     def strip(p):
         return ext_content_wrt(p, [x for x in p.vars if x not in zvars], ctx)[1] if _has_parameters(p) else p
 
     F, G = ctx.reduce(F), ctx.reduce(G)
-    if origin_value(F).is_zero() and origin_value(G).is_zero():
+    if is_zero(origin_value(F)) and is_zero(origin_value(G)):
         if F.is_zero() or G.is_zero():
             return FULTON_INFINITY, []
         h = ext_gcd_multivar(F, G, ctx)
-        if not h.is_constant() and origin_value(h).is_zero():
+        if not h.is_constant() and is_zero(origin_value(h)):
             return FULTON_INFINITY, []
     conditions: list[SparsePoly] = []
     mult = 0
     for _ in range(5000):
-        f00, g00 = origin_value(F), origin_value(G)
-        if not f00.is_zero() or not g00.is_zero():
-            return mult, conditions + [val for val in (f00, g00) if _has_parameters(val)]
+        values = [val for val in (origin_value(F), origin_value(G)) if not is_zero(val)]
+        if values:
+            return mult, conditions + [val for val in values if _has_parameters(val)]
         pF, pG = (ctx.reduce(p.eval_rational({v: QQ(0)})) for p in (F, G))
-        if pF.is_zero() and pG.is_zero():
+        zF, zG = is_zero(pF), is_zero(pG)
+        if zF and zG:
             raise PolyError("v divides both operands after the shared-component check")
-        if pF.is_zero():
+        if zF:
             F = strip(exact_div(F, SparsePoly.variable(v, F.vars)))
             nu = pG.min_degree(u)
-            conditions += [tc for tc in (pG.coeff_of(u, nu),) if _has_parameters(tc)]
+            tc = pG.coeff_of(u, nu)
+            _split_where_zero(tc, ctx)
+            conditions += [tc] if _has_parameters(tc) else []
             mult += nu
-        elif pG.is_zero() or pF.degree(u) > pG.degree(u):
+        elif zG or pF.degree(u) > pG.degree(u):
             F, G = G, F
         else:
             dF, dG = pF.degree(u), pG.degree(u)
@@ -471,15 +468,24 @@ def _shift_to_a(g1: SparsePoly, g2: SparsePoly):
     return g1.subs_poly("z1", shift), g2.subs_poly("z1", shift)
 
 
+def _fulton_at(g1: SparsePoly, g2: SparsePoly, rho: RealAlgebraic):
+    """``(modulus, fulton_condition_polynomials(...))`` for g1, g2 at (rho, 0).
+
+    At a rational rho the recursion runs on integer rows and the modulus is
+    None; otherwise it runs at the origin of the pair shifted by
+    :func:`_shift_to_a`, in the arithmetic of Q(rho) that :func:`at_root`
+    narrows its modulus to.
+    """
+    if rho.is_rational():
+        return None, fulton_condition_polynomials(g1, g2, point=(rho.as_fraction(), 0))
+    G1, G2 = _shift_to_a(g1, g2)
+    return at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx), variables=G1.vars)
+
+
 def ms_fulton(sys: EdgeSystem, rho: RealAlgebraic) -> list[Component]:
     """Multiplicity-set components for one boundary root via the symbolic
     Fulton recursion; must agree with :func:`ms_resultant` on zero sets."""
-    if rho.is_rational():
-        modulus, conds = None, fulton_condition_polynomials(sys.g1, sys.g2, point=(rho.as_fraction(), 0))[1]
-    else:
-        G1, G2 = _shift_to_a(sys.g1, sys.g2)
-        modulus, (_, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx),
-                                      variables=G1.vars)
+    modulus, (_, conds) = _fulton_at(sys.g1, sys.g2, rho)
     out = []
     for c in conds:
         if modulus is None:
@@ -546,23 +552,6 @@ def norm_form(defining: SparsePoly, minpoly: SparsePoly | None) -> SparsePoly:
     if n.is_zero():
         raise PolyError("norm form collapsed")
     return n.normalized()
-
-
-def _eval_y(p: SparsePoly, pt: tuple[Fraction, Fraction]) -> Fraction:
-    v = p.eval_rational({"y1": pt[0], "y2": pt[1]})
-    if not v.is_constant():
-        raise PolyError("unexpected free variables in avoidance polynomial")
-    return v.constant_value()
-
-
-def _multiplicity_at_rho(sys: EdgeSystem, rho: RealAlgebraic, pt: tuple[Fraction, Fraction]):
-    """Intersection multiplicity of the specialized edge system at (rho, 0)."""
-    at_pt = {"y1": pt[0], "y2": pt[1]}
-    g1, g2 = sys.g1.eval_rational(at_pt), sys.g2.eval_rational(at_pt)
-    if rho.is_rational():
-        return fulton_multiplicity(g1, g2, point=(rho.as_fraction(), 0))
-    G1, G2 = _shift_to_a(g1, g2)
-    return at_root(rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx), variables=G1.vars)[1]
 
 
 def _find_rational_point_on(J: SparsePoly, rng: random.Random) -> tuple[Fraction, Fraction] | None:
@@ -666,56 +655,25 @@ def discriminant_curve(f1: SparsePoly, f2: SparsePoly, line: _ScanLine) -> Spars
     return D.normalized()
 
 
-def _eval_possibly_ext(p: SparsePoly, pt: tuple[Fraction, Fraction], rho: RealAlgebraic) -> bool:
-    """True iff p(pt) is nonzero, with extension coefficients allowed."""
-    v = p.eval_rational({"y1": pt[0], "y2": pt[1]})
-    if v.is_zero():
-        return False
-    if v.is_constant():
-        return True
-    if rho is None or rho.is_rational():
-        raise PolyError("unexpected extension variable")
-    return sign_at_dense(dense_int(v, "a"), rho) != 0
-
-
 def _odd_jump_shortcut(comp: Component, sys: EdgeSystem, rng: random.Random) -> str | None:
-    """Odd multiplicity difference between a point on the component and a
-    certified-generic reference point forces a real escape."""
-    J = comp.defining.normalized()
-    # the jump locus is inside V(J1) cap V(J2): a reference point where not
-    # both vanish certifiably carries the generic multiplicity
-    if sys.R1.is_zero() or sys.R2.is_zero():
+    """An odd jump of the multiplicity at (rho, 0) at a rational point p on
+    the component, over its generic value, forces a real escape.
+
+    The generic value is what Fulton's recursion over the parameters y1, y2
+    returns.  Every branch of it tests a polynomial in y1, y2 for identical
+    vanishing, and dividing by a content in y1, y2 is a unit step, so it
+    runs Fulton's algorithm over Q(y1, y2), over Q(rho)(y1, y2) at an
+    irrational rho, and returns the multiplicity of the generic fibre: the
+    multiplicity at every target point off a proper closed set.  A shared
+    component raises PolyError, and the caller falls back to the scan.
+    """
+    p = _find_rational_point_on(comp.defining.normalized(), rng)
+    if p is None:
         return None
-    R12, J2 = sys.R12, sys.J2
-    rho = comp.rho
-    if rho.is_rational():
-        J1 = R12.eval_rational({"z1": rho.as_fraction()})
-    else:
-        ctx = ExtContext(from_dense(rho.dense, "a", R12.vars), "a")
-        J1 = ctx.reduce(_z1_to_a(R12))
-    p_rat = _find_rational_point_on(J, rng)
-    if p_rat is None:
-        return None
-    for _ in range(40):
-        q = (QQ(rng.randrange(-60, 61), rng.randrange(1, 8)),
-             QQ(rng.randrange(-60, 61), rng.randrange(1, 8)))
-        if _eval_y(J, q) == 0:
-            continue
-        try:
-            ok1 = _eval_possibly_ext(J1, q, rho)
-            ok2 = _eval_possibly_ext(J2, q, rho)
-        except PolyError:
-            return None
-        if not (ok1 or ok2):
-            continue
-        mu_p = _multiplicity_at_rho(sys, rho, p_rat)
-        mu_q = _multiplicity_at_rho(sys, rho, q)
-        if mu_p == FULTON_INFINITY or mu_q == FULTON_INFINITY:
-            return None
-        if (mu_p - mu_q) % 2 == 1:
-            return "confirmed-nonempty"
-        return None
-    return None
+    at_p = {"y1": p[0], "y2": p[1]}
+    generic = _fulton_at(sys.g1, sys.g2, comp.rho)[1][0]
+    mu_p = _fulton_at(sys.g1.eval_rational(at_p), sys.g2.eval_rational(at_p), comp.rho)[1][0]
+    return "confirmed-nonempty" if (mu_p - generic) % 2 == 1 else None
 
 
 def emptiness_test(comp: Component, sys: EdgeSystem, f1: SparsePoly, f2: SparsePoly,

@@ -14,7 +14,9 @@ from functools import cmp_to_key
 
 import mpmath as mp
 
-from jelonek.multiplicity import FULTON_INFINITY, jacobian_det, _has_parameters
+from jelonek.extension import ExtContext
+from jelonek.multiplicity import (FULTON_INFINITY, fulton_multiplicity, jacobian_det, _has_parameters,
+                                  _shift_to_a, _z1_to_a)
 from jelonek.polytope import LatticePolygon, _cross, _on_segment
 from jelonek.poly import (
     PolyError,
@@ -33,10 +35,12 @@ from jelonek.poly import (
 from jelonek.realroots import (
     SHEAR_CANDIDATES,
     RealAlgebraic,
+    at_root,
     compare,
     isolate_real_roots,
     rational_between,
     rational_roots,
+    sign_at_dense,
     _shear,
 )
 
@@ -182,6 +186,55 @@ def fulton_oracle(f: SparsePoly, g: SparsePoly, zvars=("z1", "z2")):
                 raise PolyError("f divides g after the shared-component check")
             f, g = strip(h), f
     raise PolyError("multiplicity recursion failed to terminate")
+
+
+def odd_jump_oracle(sys, J: SparsePoly, rho: RealAlgebraic, p: tuple[F, F], rng, draws: int = 40):
+    """The odd-jump certificate by a reference point: True when the
+    multiplicity at (rho, 0) of the edge system ``sys`` specialized at the
+    rational point p on the component J = 0 exceeds that at a certified
+    generic point q by an odd number, False when by an even one, and None
+    when no draw is certified or a multiplicity is infinite.
+
+    The multiplicity jumps only where J1 = R12(rho) and J2 both vanish: R12
+    is Res_z2(g1, g2) with its content in z1 divided out, and J2 is
+    Res_z1(g1, g2) with its content in z2 divided out, at z2 = 0.  So a
+    random q off J where J1 or J2 is nonzero carries the generic
+    multiplicity.  At an irrational rho, J1 has coefficients in
+    Q[a]/(rho's dense form), and its value at q vanishes where its sign at
+    rho is 0.  The multiplicity at a rational rho is :func:`fulton_oracle`'s
+    after the shift z1 -> z1 + rho, and the library's recursion over Q(rho)
+    otherwise.
+    """
+    R1, R2 = resultant(sys.g1, sys.g2, "z2"), resultant(sys.g1, sys.g2, "z1")
+    R12 = content_wrt(R1, ["z1"])[1]
+    J2 = content_wrt(R2, ["z2"])[1].eval_rational({"z2": 0})
+    if rho.is_rational():
+        J1 = R12.eval_rational({"z1": rho.as_fraction()})
+    else:
+        J1 = ExtContext(from_dense(rho.dense, "a", R12.vars)).reduce(_z1_to_a(R12))
+
+    def vanishes(P, q):
+        v = P.eval_rational({"y1": q[0], "y2": q[1]})
+        return v.is_zero() or (not v.is_constant() and sign_at_dense(dense_int(v, "a"), rho) == 0)
+
+    def mu(pt):
+        at = {"y1": pt[0], "y2": pt[1]}
+        g1, g2 = sys.g1.eval_rational(at), sys.g2.eval_rational(at)
+        if rho.is_rational():
+            shift = SparsePoly.variable("z1", g1.vars) + SparsePoly.constant(rho.as_fraction(), g1.vars)
+            return fulton_oracle(g1.subs_poly("z1", shift), g2.subs_poly("z1", shift))[0]
+        G1, G2 = _shift_to_a(g1, g2)
+        return at_root(rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx), variables=G1.vars)[1]
+
+    for _ in range(draws):
+        q = (F(rng.randrange(-60, 61), rng.randrange(1, 8)), F(rng.randrange(-60, 61), rng.randrange(1, 8)))
+        if vanishes(J, q) or (vanishes(J1, q) and vanishes(J2, q)):
+            continue
+        mu_p, mu_q = mu(p), mu(q)
+        if FULTON_INFINITY in (mu_p, mu_q):
+            return None
+        return (mu_p - mu_q) % 2 == 1
+    return None
 
 
 def _decomposition_squarefree_part(p: SparsePoly, var: str) -> SparsePoly:

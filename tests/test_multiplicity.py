@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixtures import CURATED, IRRATIONAL_BOUNDARY, MIXED_BOUNDARY
 from oracles import (crossing_neighbours, discriminant_curve_oracle, escape_oracle, fulton_oracle,
-                     resultant_certifies_coprime)
+                     odd_jump_oracle, resultant_certifies_coprime)
 from strategies import polys_in
 from jelonek import multiplicity
 from jelonek.parsing import parse_polynomial as P
@@ -37,18 +37,16 @@ from jelonek.multiplicity import (
     norm_form,
     _bracket,
     _critical_box_bound,
-    _eval_possibly_ext,
     _find_rational_point_on,
     _fulton,
+    _fulton_at,
     _int_fulton,
     _line_roots,
-    _multiplicity_at_rho,
     _odd_jump_shortcut,
     _rows_fulton,
     _Rows,
     _ScanLine,
     _scan_and_count,
-    _shift_to_a,
     _verdict_at_point,
 )
 from jelonek.realroots import (
@@ -382,6 +380,11 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
     texts = [IRRATIONAL_BOUNDARY] + [(a, b) for _, a, b, _, _ in CURATED]
     rng = random.Random(8)
     checked = jumps = 0
+
+    def at_point(sys, rho, pt):
+        at = {"y1": pt[0], "y2": pt[1]}
+        return _fulton_at(sys.g1.eval_rational(at), sys.g2.eval_rational(at), rho)[1][0]
+
     for f1, f2 in dict.fromkeys(texts):
         f1, f2 = P(f1), P(f2)
         A, records = minkowski_sum(newton_polygon(f1), newton_polygon(f2))
@@ -393,11 +396,7 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
                 continue
             for factor, _ in dense_squarefree(dense_int(sys.g, "z1")):
                 for rho in real_roots(factor):
-                    if rho.is_rational():
-                        mult, conds = fulton_condition_polynomials(sys.g1, sys.g2, point=(rho.as_fraction(), 0))
-                    else:
-                        G1, G2 = _shift_to_a(sys.g1, sys.g2)
-                        _, (mult, conds) = at_root(rho, lambda ctx: fulton_condition_polynomials(G1, G2, ctx))
+                    _, (mult, conds) = _fulton_at(sys.g1, sys.g2, rho)
                     for _ in range(6):
                         pt = (F(rng.randrange(-40, 41), rng.randrange(1, 6)),
                               F(rng.randrange(-40, 41), rng.randrange(1, 6)))
@@ -405,12 +404,12 @@ def test_multiplicity_at_rho_agrees_with_generic_multiplicity():
                         if any(v.is_zero() or (not v.is_constant() and sign_at_dense(dense_int(v, "a"), rho) == 0)
                                for v in values):
                             continue
-                        assert _multiplicity_at_rho(sys, rho, pt) == mult
+                        assert at_point(sys, rho, pt) == mult
                         checked += 1
                     for c in conds:
                         pt = _find_rational_point_on(c, rng) if c.degree("a") <= 0 else None
                         if pt is not None:
-                            assert _multiplicity_at_rho(sys, rho, pt) > mult
+                            assert at_point(sys, rho, pt) > mult
                             jumps += 1
     assert checked >= 40 and jumps >= 5
 
@@ -849,23 +848,10 @@ def test_bracket_neighbours_count_as_the_crossing_oracle(monkeypatch):
             assert counts(f1, f2, line, x) == counts(f1, f2, line, y), (line, p, x, y)
 
 
-def test_eval_possibly_ext_decides_by_the_sign_at_rho():
-    a = SparsePoly.variable("a")
-    sqrt3 = [r for r, _ in isolate_real_roots(a ** 2 - 3, "a") if r.cmp_fraction(0) > 0][0]
-    pt = (F(1), F(2))
-    assert _eval_possibly_ext(y1 - 1, pt, sqrt3) is False
-    assert _eval_possibly_ext(y2 - 1, pt, sqrt3) is True
-    assert _eval_possibly_ext(a * y1 - y2, pt, sqrt3) is True
-    # a value with the extension variable vanishes where it vanishes at rho
-    assert _eval_possibly_ext(a ** 2 * y1 - 3, pt, sqrt3) is False
-    assert _eval_possibly_ext(a ** 2 * y1 - 2, pt, sqrt3) is True
-    with pytest.raises(PolyError):
-        _eval_possibly_ext(a * y1 - y2, pt, isolate_real_roots(z1 - 2, "z1")[0][0])
-
-
 def test_odd_jump_shortcut_at_an_irrational_rho():
-    # the component y1 + y2 = 6 is rational, so the shortcut runs with J1
-    # reduced over Q[a]/(a^2 - 2) at both boundary roots +-sqrt(2)
+    # the component y1 + y2 = 6 is rational, so the shortcut runs at both
+    # boundary roots +-sqrt(2): Fulton's recursion over Q(sqrt(2)) gives the
+    # generic multiplicity and that at a rational point of the line
     (sys,) = pertinent_edge_systems(*IRRATIONAL_RHO_LINE)
     a = SparsePoly.variable("a")
     comps = ms_resultant(sys, "R")
@@ -875,6 +861,59 @@ def test_odd_jump_shortcut_at_an_irrational_rho():
     for seed in range(3):
         for c in comps:
             assert _odd_jump_shortcut(c, sys, random.Random(seed)) == "confirmed-nonempty"
+
+
+def test_odd_jump_shortcut_agrees_with_the_reference_point_oracle():
+    # wherever the old certificate (a random reference point q off the
+    # component where J1 or J2 does not vanish) decides, its parity of
+    # mu_p - mu_q is the shortcut's verdict; both routes, seeds 0..2
+    maps = dict.fromkeys([(a, b) for _, a, b, _, _ in CURATED]
+                         + [m for m, _ in LADDER_REAL_DISCRIMINANTS.values()]
+                         + [("1 + x2^6*(x1-1)^2", "1 + x1*x2^6 + x2^12*(x1-1)^2"),
+                            IRRATIONAL_RHO_LINE, MIXED_BOUNDARY])
+    decided = []
+    for f1, f2 in maps:
+        for sys in pertinent_edge_systems(f1, f2):
+            for route in (ms_resultant, ms_fulton_all):
+                for c in route(sys, "R"):
+                    if c.minpoly is not None and c.defining.degree("a") > 0:
+                        continue  # the emptiness test leaves these undetermined
+                    J = c.defining.normalized()
+                    for seed in range(3):
+                        p = _find_rational_point_on(J, random.Random(seed))
+                        verdict = _odd_jump_shortcut(c, sys, random.Random(seed))
+                        odd = None if p is None else odd_jump_oracle(sys, J, c.rho, p, random.Random(seed))
+                        if odd is not None:
+                            assert verdict == ("confirmed-nonempty" if odd else None), (f1, f2, str(J), seed)
+                            decided.append(odd)
+    assert len(decided) >= 60 and True in decided and False in decided
+
+
+def test_odd_jump_shortcut_without_a_rational_point_gives_no_verdict():
+    # the finder tries rational lines only, and y1^2 = 2 meets none of them
+    # in a rational point: the shortcut leaves the component to the scan
+    sys = intro_edge_system()
+    comp = multiplicity.Component(defining=y1 ** 2 - 2, realness="undetermined",
+                                  rho=RealAlgebraic.from_rational(2))
+    assert _find_rational_point_on(comp.defining, random.Random(0)) is None
+    assert _odd_jump_shortcut(comp, sys, random.Random(0)) is None
+
+
+@pytest.mark.parametrize("case", ["origin value", "trailing coefficient"])
+def test_fulton_splits_the_modulus_at_a_zero_divisor(case):
+    # a value the recursion branches on is nonzero in Q[a]/((a - 1)(a^2 - 3))
+    # but vanishes at sqrt(3): the recursion raises the factor a^2 - 3,
+    # at_root narrows the modulus to it, and the multiplicity is that over
+    # Q(sqrt(3)).  The origin value a^2 - 3 of F: z2 = 0 meets z1 = 0 once.
+    # The order (a^2 - 3)*u in u of G at z2 = 0, F = z2: it is 2, from z1^2
+    a = SparsePoly.variable("a")
+    modulus = ((a - 1) * (a ** 2 - 3)).normalized()
+    sqrt3 = max((r for r, _ in isolate_real_roots(modulus, "a")), key=lambda r: r.to_float())
+    assert sqrt3.dense == tuple(dense_int(modulus, "a"))
+    Fp, Gp, mult = {"origin value": (z2 + a ** 2 - 3, z1, 1),
+                    "trailing coefficient": (z2, (a ** 2 - 3) * z1 + z1 ** 2, 2)}[case]
+    got = at_root(sqrt3, lambda ctx: fulton_multiplicity(Fp, Gp, ctx=ctx))
+    assert got == ((a ** 2 - 3).normalized(), mult)
 
 
 def test_escape_oracle_is_inconclusive_where_escapes_fade():

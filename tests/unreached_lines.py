@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-CEILING = 20
+CEILING = 15
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "jelonek"
