@@ -52,12 +52,9 @@ def divmod_univar(p: SparsePoly, q: SparsePoly, var: str,
         raise PolyError("divisor leading coefficient is not constant")
     quo = SparsePoly.zero(p.vars)
     rem = p
-    shift = [0] * len(p.vars)
-    i = p._idx(var)
     while not rem.is_zero() and rem.degree(var) >= dq:
         dr = rem.degree(var)
-        shift[i] = dr - dq
-        mono = SparsePoly({tuple(shift): QQ(1)}, p.vars)
+        mono = SparsePoly.monomial({var: dr - dq}, 1, p.vars)
         if ctx is None:
             coeff = rem.coeff_of(var, dr).scale(inv)
             rem = rem - q * coeff * mono
@@ -273,14 +270,11 @@ def ext_pseudo_rem(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> 
     dq = q.degree(main)
     lc_q = q.coeff_of(main, dq)
     rem = p
-    i = p._idx(main)
     guard = 0
     while not rem.is_zero() and rem.degree(main) >= dq:
         dr = rem.degree(main)
         lc_r = rem.coeff_of(main, dr)
-        shift = [0] * len(p.vars)
-        shift[i] = dr - dq
-        mono = SparsePoly({tuple(shift): QQ(1)}, p.vars)
+        mono = SparsePoly.monomial({main: dr - dq}, 1, p.vars)
         rem = ctx.reduce(rem * lc_q - q * lc_r * mono)
         guard += 1
         if guard > 10000:

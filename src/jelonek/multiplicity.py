@@ -188,91 +188,15 @@ def _z1_to_a(p: SparsePoly) -> SparsePoly:
 # -- Fulton's recursive intersection multiplicity ------------------------------
 
 
-def _has_parameters(p: SparsePoly) -> bool:
-    return bool(p.vars_present() & {"y1", "y2"})
-
-
-def _fulton(F: SparsePoly, G: SparsePoly, zvars, ctx: ExtContext):
-    """Fulton's recursion at the z-origin over Q[a]/(m), the field of an
-    irrational boundary root, and the parameters y1, y2.
-
-    Returns ``(mult, conditions)``: ``mult`` is the multiplicity valid off
-    the condition curves (infinity when F and G share a component through
-    the origin, which gcd(F, G) decides), and ``conditions`` lists every
-    y-dependent coefficient whose vanishing would raise it; without y1, y2
-    it is empty.  The content in (y1, y2, a) is divided out after each
-    division by v and each step.  Over Q, :func:`_int_fulton` runs the same
-    steps on integer rows.
-
-    m need not be irreducible.  Each value the recursion branches on (an
-    origin value, the leading coefficient in u of F or G at v = 0, the
-    trailing one that gives a division's order in u) is tested on every
-    factor of m first: where it vanishes on a proper factor, that factor is
-    raised as :class:`ZeroDivisor` (dynamic evaluation, Della Dora,
-    Dicrescenzo and Duval, EUROCAL 1985), so the caller reruns on a factor
-    of m over which each branch is the same as over Q(alpha).
-    """
-    u, v = zvars
-
-    def origin_value(p):
-        return ctx.reduce(p.eval_rational({u: QQ(0), v: QQ(0)}))
-
-    def is_zero(p):  # p is 0, or its leading coefficient in u vanishes on no factor of m
-        if p.is_zero():
-            return True
-        _split_where_zero(p.coeff_of(u, p.degree(u)), ctx)
-        return False
-
-    def strip(p):
-        return ext_content_wrt(p, [x for x in p.vars if x not in zvars], ctx)[1] if _has_parameters(p) else p
-
-    F, G = ctx.reduce(F), ctx.reduce(G)
-    if is_zero(origin_value(F)) and is_zero(origin_value(G)):
-        if F.is_zero() or G.is_zero():
-            return FULTON_INFINITY, []
-        h = ext_gcd_multivar(F, G, ctx)
-        if not h.is_constant() and is_zero(origin_value(h)):
-            return FULTON_INFINITY, []
-    conditions: list[SparsePoly] = []
-    mult = 0
-    for _ in range(5000):
-        values = [val for val in (origin_value(F), origin_value(G)) if not is_zero(val)]
-        if values:
-            return mult, conditions + [val for val in values if _has_parameters(val)]
-        pF, pG = (ctx.reduce(p.eval_rational({v: QQ(0)})) for p in (F, G))
-        zF, zG = is_zero(pF), is_zero(pG)
-        if zF and zG:
-            raise PolyError("v divides both operands after the shared-component check")
-        if zF:
-            F = strip(exact_div(F, SparsePoly.variable(v, F.vars)))
-            nu = pG.min_degree(u)
-            tc = pG.coeff_of(u, nu)
-            _split_where_zero(tc, ctx)
-            conditions += [tc] if _has_parameters(tc) else []
-            mult += nu
-        elif zG or pF.degree(u) > pG.degree(u):
-            F, G = G, F
-        else:
-            dF, dG = pF.degree(u), pG.degree(u)
-            mono = SparsePoly.monomial({u: dG - dF}, 1, F.vars)
-            G = ctx.reduce(G * pF.coeff_of(u, dF) - F * pG.coeff_of(u, dG) * mono)
-            if G.is_zero():
-                raise PolyError("F divides G after the shared-component check")
-            F, G = strip(G), F
-    raise PolyError("multiplicity recursion failed to terminate")
-
-
 def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(0, 0),
                         ctx: ExtContext | None = None):
     """Intersection multiplicity at ``point`` of the curves F = 0, G = 0 in ``pair``.
 
     Returns a nonnegative integer, or ``FULTON_INFINITY`` when F and G share
-    a component through the point.  Over Q it runs on integer rows; with
-    ``ctx`` the coefficients live in Q[a]/(m) and the point is the origin.
+    a component through the point.  The coefficients are in Q, or in
+    Q[a]/(m) with ``ctx``; the recursion runs on integer rows either way.
     """
-    if ctx is not None:
-        return _fulton(F, G, pair, ctx)[0]
-    return _rows_fulton(F, G, pair, point, ())[0]
+    return _rows_fulton(F, G, pair, point, (), ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -281,12 +205,17 @@ class _Rows:
     in the format of poly._ducos: row j, the coefficient of v^j, maps a key
     to a nonzero int; zero is [{}].  The key packs the exponent of each
     parameter into a field ``width`` bits wide, the first parameter lowest,
-    and the exponent of u above them all."""
+    and the exponent of u above them all.
+
+    With ``ctx`` the coefficients are in Q[a]/(m), and a is the first
+    parameter: :meth:`reduce` and :meth:`split` are the two steps of that
+    arithmetic, and over Q both do nothing."""
 
     pair: tuple[str, str]
     params: tuple[str, ...]
     width: int
     variables: tuple[str, ...]
+    ctx: ExtContext | None = None
 
     def pack(self, p: SparsePoly, point=(0, 0)) -> list[dict[int, int]]:
         """An integer multiple of p((a + u) / q, (b + v) / s) for ``point`` =
@@ -329,10 +258,42 @@ class _Rows:
                 terms[tuple(e)] = c
         return SparsePoly(terms, self.variables)
 
+    def reduce(self, R: list[dict[int, int]]) -> list[dict[int, int]]:
+        """An integer multiple of R modulo m.  Each pass multiplies the terms
+        of degree below deg m in a by lc(m) and writes a^e, e >= deg m, as
+        a^(e - deg m) * (lc(m) * a^deg m - m)."""
+        if self.ctx is None:
+            return R
+        deg, mask = self.ctx.deg, (1 << self.width) - 1
+        while any(k & mask >= deg for row in R for k in row):
+            *tail, lc = dense_int(self.ctx.minpoly, self.ctx.var)
+            out = []
+            for row in R:
+                new: dict[int, int] = {}
+                for k, c in row.items():
+                    if k & mask < deg:
+                        new[k] = new.get(k, 0) + lc * c
+                        continue
+                    for i, t in enumerate(tail):  # a^(e - deg m) * -t * a^i
+                        new[k - deg + i] = new.get(k - deg + i, 0) - t * c
+                out.append({k: c for k, c in new.items() if c})
+            R = out
+        return R
 
-def _rows_fulton(F: SparsePoly, G: SparsePoly, pair, point, params):
+    def split(self, values: list[dict[int, int]]) -> None:
+        """Raise :class:`ZeroDivisor` on the factor of m where the leading
+        coefficient in u of one of the packed nonzero ``values`` vanishes."""
+        if self.ctx is None:
+            return
+        for p in filter(None, values):
+            p = self.poly([p])
+            _split_where_zero(p.coeff_of(self.pair[0], p.degree(self.pair[0])), self.ctx)
+
+
+def _rows_fulton(F: SparsePoly, G: SparsePoly, pair, point, params, ctx: ExtContext | None = None):
     """Fulton's recursion at the rational ``point`` for F, G over
-    Q[``params``], on integer rows: ``(mult, conditions)`` as :func:`_fulton`.
+    Q[``params``], or over (Q[a]/(m))[``params``] with ``ctx``, on integer
+    rows: ``(mult, conditions)`` as :func:`_int_fulton` gives them.
 
     Packed fields never carry.  The exponent of u, in the top field, is
     unbounded.  A parameter field is ``width`` bits wide, its top bit a guard
@@ -340,60 +301,84 @@ def _rows_fulton(F: SparsePoly, G: SparsePoly, pair, point, params):
     and G) forms products and subresultants of degree below (n + 2) * n * d
     in a parameter, n the larger degree in v and d the largest sum of the
     two degrees in one parameter (the bound of poly._subresultants); the
-    width holds that without its guard bit.  A Fulton step multiplies rows
-    whose fields are below the guard bit, so each sum fits its field, and a
-    step that sets a guard bit restarts the recursion with fields twice as
-    wide.  Dividing out a content only lowers exponents.
+    width holds that without its guard bit.  Over Q[a]/(m) a product of
+    reduced rows has degree up to 2 deg m - 2 in a before it is reduced, and
+    the width holds that too.  A Fulton step multiplies rows whose fields
+    are below the guard bit, so each sum fits its field, and a step that
+    sets a guard bit restarts the recursion with fields twice as wide.
+    Dividing out a content only lowers exponents.
     """
     params = tuple(y for y in params if F.degree(y) > 0 or G.degree(y) > 0)
+    if ctx is not None:
+        params = (ctx.var, *params)
     n = max(F.degree(pair[1]), G.degree(pair[1]), 1)
     d = max([F.degree(y) + G.degree(y) for y in params] + [1])
-    width = ((n + 2) * n * d).bit_length() + 1
+    width = max((n + 2) * n * d, 2 * ctx.deg - 2 if ctx else 0).bit_length() + 1
     while True:
-        rows = _Rows(pair, params, width, F.vars)
-        out = _int_fulton(rows.pack(F, point), rows.pack(G, point), rows)
+        rows = _Rows(pair, params, width, F.vars, ctx)
+        out = _int_fulton(rows.reduce(rows.pack(F, point)), rows.reduce(rows.pack(G, point)), rows)
         if out is not None:
             return out[0], [rows.poly([c]) for c in out[1]]
         width *= 2
 
 
 def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]], rows: _Rows):
-    """:func:`_fulton` at the origin on integer rows packed by ``rows``.
+    """Fulton's recursion at the origin on integer rows packed by ``rows``,
+    over the parameters y1, y2 and, with ``rows.ctx``, over Q[a]/(m).
 
-    The integer content is divided out after each step (F / v has the
-    coefficients of F), the content in the parameters also after each
-    division by v, as :func:`_fulton` does.  Returns ``(mult, conditions)``
-    with packed conditions, or None when a step sets a guard bit.
+    Returns ``(mult, conditions)``, or None when a step sets a guard bit:
+    ``mult`` is the multiplicity valid off the condition curves (infinity
+    when F and G share a component through the origin), and ``conditions``
+    lists, packed, every coefficient in y1, y2 whose vanishing would raise
+    it; without y1, y2 it is empty.  The integer content is divided out
+    after each step (F / v has the coefficients of F), the content in the
+    parameters also after each division by v.
+
+    Over Q[a]/(m) each step is reduced modulo m, and m need not be
+    irreducible.  Each value the recursion branches on (an origin value,
+    the leading coefficient in u of F or G at v = 0, the trailing one that
+    gives a division's order in u) is tested on every factor of m first:
+    where it vanishes on a proper factor, that factor is raised as
+    :class:`ZeroDivisor` (dynamic evaluation, Della Dora, Dicrescenzo and
+    Duval, EUROCAL 1985), so the caller reruns on a factor of m over which
+    each branch is the same as over Q(alpha).
     """
     su = rows.width * len(rows.params)
     top = 1 << su  # keys below top have no u
     low = top - 1  # the parameter fields
+    ymask = low >> rows.width << rows.width if rows.ctx else low  # the fields of y1, y2
     guard = sum(1 << s - 1 for s in range(rows.width, su + 1, rows.width))
 
     def coeff(row, i):  # the coefficient of u^i
         return {k - (i << su): c for k, c in row.items() if k >> su == i}
 
-    def primitive(R):  # R over its content in the parameters, which is 1
-        # when the coefficient of one monomial in u, v is an integer
-        if not low:
+    def primitive(R):  # R over its content in y1, y2 (and a), which is 1 when R
+        # has no y1, y2 or the coefficient of one monomial in u, v is an integer;
+        # over Q the second test covers the first
+        if not ymask or rows.ctx and not any(k & ymask for row in R for k in row):
             return R
         for row in R:
             mixed = {k >> su for k in row if k & low}
             if any(k >> su not in mixed for k in row if not k & low):
                 return R
-        return rows.pack(content_wrt(rows.poly(R), rows.params)[1])
+        p = rows.poly(R)
+        return rows.pack(content_wrt(p, rows.params)[1] if rows.ctx is None
+                         else ext_content_wrt(p, rows.params, rows.ctx)[1])
 
     if min(F[0], default=top) >= top and min(G[0], default=top) >= top:  # both vanish at the origin
         if not any(F) or not any(G):
             return FULTON_INFINITY, []
         # A nonzero Res_v(F, G) leaves only v-free common factors, and a
         # v-free factor that vanishes at the origin for every parameter
-        # value is divisible by u.  So when u does not divide both and
-        # Res_v(F, G) != 0, no component through the origin is shared;
-        # otherwise the gcd decides.
-        if all(k > low for row in F + G for k in row) or not _resultant_rows(F, G):
-            h = gcd_multivar(rows.poly(F), rows.poly(G))
-            if not h.is_constant() and h.eval_rational(dict.fromkeys(rows.pair, QQ(0))).is_zero():
+        # value is divisible by u.  So over Q, when u does not divide both
+        # and Res_v(F, G) != 0, no component through the origin is shared;
+        # otherwise, and always over Q[a]/(m), the gcd decides.
+        if rows.ctx or all(k > low for row in F + G for k in row) or not _resultant_rows(F, G):
+            P, Q = rows.poly(F), rows.poly(G)
+            h = rows.pack(gcd_multivar(P, Q) if rows.ctx is None else ext_gcd_multivar(P, Q, rows.ctx))
+            h0 = coeff(h[0], 0)
+            rows.split([h0])
+            if not h0:
                 return FULTON_INFINITY, []
     # Now F and G share no component through the origin, and no step makes
     # one: a swap, a division by the content and G -> lc(F)*G - lc(G)*u^k*F
@@ -402,15 +387,20 @@ def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]], rows: _Rows):
     mult, conditions = 0, []
     for _ in range(5000):
         if min(F[0], default=top) < top or min(G[0], default=top) < top:
-            return mult, conditions + [c for c in (coeff(F[0], 0), coeff(G[0], 0)) if any(c)]
+            ends = [coeff(F[0], 0), coeff(G[0], 0)]
+            rows.split(ends)
+            return mult, conditions + [c for c in ends if any(k & ymask for k in c)]
         pF, pG = F[0], G[0]
         if not pF and not pG:
             raise PolyError("v divides both operands after the shared-component check")
+        rows.split([pF, pG])
         if not pF:
             nu = min(pG) >> su
-            if low:
-                conditions += [tc for tc in (coeff(pG, nu),) if any(tc)]
             F, mult = primitive(F[1:]), mult + nu
+            if low:
+                tc = coeff(pG, nu)
+                rows.split([tc])
+                conditions += [tc] if any(k & ymask for k in tc) else []
             continue
         dF, dG = max(pF) >> su, max(pG, default=-1) >> su
         if dF > dG:
@@ -427,6 +417,7 @@ def _int_fulton(F: list[dict[int, int]], G: list[dict[int, int]], rows: _Rows):
                     for kl, cl in lc:
                         for k, c in row.items():
                             h[k + kl] = h.get(k + kl, 0) + cl * c
+            H = rows.reduce(H)
             g = gcd(*(c for h in H for c in h.values()))
             if not g:
                 raise PolyError("F divides G after the shared-component check")
@@ -443,16 +434,12 @@ def fulton_condition_polynomials(G1: SparsePoly, G2: SparsePoly, ctx: ExtContext
     Runs the reduction symbolically over the parameters y1, y2: the generic
     branch computes the multiplicity valid off a finite set of condition
     curves, and every y-dependent coefficient whose vanishing would raise
-    the multiplicity is emitted as a condition polynomial.  Without ``ctx``
-    the coefficients are in Q[y1, y2], the point is rational and the
-    recursion runs on integer rows, shifted to the point while packing.
-    With ``ctx``, the arithmetic of an irrational boundary root, the point
-    is the origin and the recursion runs on ``SparsePoly``s.
+    the multiplicity is emitted as a condition polynomial.  The coefficients
+    are in Q[y1, y2], or with ``ctx``, the arithmetic of an irrational
+    boundary root, in (Q[a]/(m))[y1, y2].  The recursion runs on integer
+    rows, shifted to the rational point while packing.
     """
-    if ctx is None:
-        mult, conditions = _rows_fulton(G1, G2, ("z1", "z2"), point, ("y1", "y2"))
-    else:
-        mult, conditions = _fulton(G1, G2, ("z1", "z2"), ctx)
+    mult, conditions = _rows_fulton(G1, G2, ("z1", "z2"), point, ("y1", "y2"), ctx)
     if mult == FULTON_INFINITY:
         raise PolyError("shared component through the boundary point")
     return mult, conditions
@@ -504,7 +491,7 @@ def ms_fulton_all(sys: EdgeSystem, fld: str) -> list[Component]:
     every factor of the squarefree part of g, by dynamic splitting, and
     pushed down to Q by norm forms, to compare against the resultant route.
     A linear factor's root is rational: there the recursion takes the
-    unshifted g1, g2 and that point, and runs on integer rows.
+    unshifted g1, g2 and that point, over Q.
     """
     if sys.g.degree("z1") < 1:
         return []

@@ -14,9 +14,8 @@ from functools import cmp_to_key
 
 import mpmath as mp
 
-from jelonek.extension import ExtContext
-from jelonek.multiplicity import (FULTON_INFINITY, fulton_multiplicity, jacobian_det, _has_parameters,
-                                  _shift_to_a, _z1_to_a)
+from jelonek.extension import ExtContext, ext_content_wrt, ext_gcd_multivar, _split_where_zero
+from jelonek.multiplicity import FULTON_INFINITY, jacobian_det, _shift_to_a, _z1_to_a
 from jelonek.polytope import LatticePolygon, _cross, _on_segment
 from jelonek.poly import (
     PolyError,
@@ -135,7 +134,11 @@ def resultant_certifies_coprime(f: SparsePoly, g: SparsePoly, u: str, v: str) ->
     return (f.min_degree(u) == 0 or g.min_degree(u) == 0) and not resultant(f, g, v).is_zero()
 
 
-def fulton_oracle(f: SparsePoly, g: SparsePoly, zvars=("z1", "z2")):
+def _has_parameters(p: SparsePoly) -> bool:
+    return bool(p.vars_present() & {"y1", "y2"})
+
+
+def fulton_oracle(f: SparsePoly, g: SparsePoly, zvars=("z1", "z2"), ctx: ExtContext | None = None):
     """Reference Fulton recursion at the z-origin over Q(y1, y2), on
     ``SparsePoly`` arithmetic: ``(mult, conditions)`` as the library's
     recursion gives them, the conditions up to rational multiples.
@@ -143,45 +146,61 @@ def fulton_oracle(f: SparsePoly, g: SparsePoly, zvars=("z1", "z2")):
     A shared component through the origin is ruled out by
     :func:`resultant_certifies_coprime`, and by gcd(f, g) when that fails.
     The content in y1, y2 is divided out after each division by v and each
-    step.
+    step.  With ``ctx`` the coefficients are in Q[a]/(m): every step is
+    reduced modulo m, the gcd alone decides a shared component, gcds and
+    contents are taken over Q[a]/(m), and a value the recursion branches on
+    that vanishes on a proper factor of m raises that factor as
+    ``ZeroDivisor``.
     """
     u, v = zvars
+    reduce = (lambda p: p) if ctx is None else ctx.reduce
 
     def origin_value(p):
-        return p.eval_rational({u: F(0), v: F(0)})
+        return reduce(p.eval_rational({u: F(0), v: F(0)}))
+
+    def is_zero(p):
+        if ctx is not None and not p.is_zero():
+            _split_where_zero(p.coeff_of(u, p.degree(u)), ctx)
+        return p.is_zero()
 
     def strip(p):
-        return content_wrt(p, [x for x in p.vars if x not in zvars])[1] if _has_parameters(p) else p
+        if not _has_parameters(p):
+            return p
+        inner = [x for x in p.vars if x not in zvars]
+        return (content_wrt(p, inner) if ctx is None else ext_content_wrt(p, inner, ctx))[1]
 
-    if origin_value(f).is_zero() and origin_value(g).is_zero():
+    f, g = reduce(f), reduce(g)
+    if is_zero(origin_value(f)) and is_zero(origin_value(g)):
         if f.is_zero() or g.is_zero():
             return FULTON_INFINITY, []
-        if not resultant_certifies_coprime(f, g, u, v):
-            h = gcd_multivar(f, g)
-            if not h.is_constant() and origin_value(h).is_zero():
+        if ctx is not None or not resultant_certifies_coprime(f, g, u, v):
+            h = gcd_multivar(f, g) if ctx is None else ext_gcd_multivar(f, g, ctx)
+            if not h.is_constant() and is_zero(origin_value(h)):
                 return FULTON_INFINITY, []
     conditions: list[SparsePoly] = []
     mult = 0
     for _ in range(5000):
-        f00, g00 = origin_value(f), origin_value(g)
-        if not f00.is_zero() or not g00.is_zero():
-            return mult, conditions + [val for val in (f00, g00) if _has_parameters(val)]
-        pf, pg = f.eval_rational({v: F(0)}), g.eval_rational({v: F(0)})
-        if pf.is_zero() and pg.is_zero():
+        values = [val for val in (origin_value(f), origin_value(g)) if not is_zero(val)]
+        if values:
+            return mult, conditions + [val for val in values if _has_parameters(val)]
+        pf, pg = reduce(f.eval_rational({v: F(0)})), reduce(g.eval_rational({v: F(0)}))
+        zf, zg = is_zero(pf), is_zero(pg)
+        if zf and zg:
             raise PolyError("v divides both operands after the shared-component check")
-        if pf.is_zero():
+        if zf:
             f = strip(exact_div(f, SparsePoly.variable(v, f.vars)))
             nu = pg.min_degree(u)
             tc = pg.coeff_of(u, nu)
+            is_zero(tc)  # splits m where tc vanishes on a factor
             if _has_parameters(tc):
                 conditions.append(tc)
             mult += nu
-        elif pg.is_zero() or pf.degree(u) > pg.degree(u):
+        elif zg or pf.degree(u) > pg.degree(u):
             f, g = g, f
         else:
             df, dg = pf.degree(u), pg.degree(u)
             mono = SparsePoly.monomial({u: dg - df}, 1, f.vars)
-            h = g * pf.coeff_of(u, df) - f * pg.coeff_of(u, dg) * mono
+            h = reduce(g * pf.coeff_of(u, df) - f * pg.coeff_of(u, dg) * mono)
             if h.is_zero():
                 raise PolyError("f divides g after the shared-component check")
             f, g = strip(h), f
@@ -201,9 +220,8 @@ def odd_jump_oracle(sys, J: SparsePoly, rho: RealAlgebraic, p: tuple[F, F], rng,
     random q off J where J1 or J2 is nonzero carries the generic
     multiplicity.  At an irrational rho, J1 has coefficients in
     Q[a]/(rho's dense form), and its value at q vanishes where its sign at
-    rho is 0.  The multiplicity at a rational rho is :func:`fulton_oracle`'s
-    after the shift z1 -> z1 + rho, and the library's recursion over Q(rho)
-    otherwise.
+    rho is 0.  The multiplicity is :func:`fulton_oracle`'s after the shift
+    z1 -> z1 + rho, over Q(rho) at an irrational rho.
     """
     R1, R2 = resultant(sys.g1, sys.g2, "z2"), resultant(sys.g1, sys.g2, "z1")
     R12 = content_wrt(R1, ["z1"])[1]
@@ -224,7 +242,7 @@ def odd_jump_oracle(sys, J: SparsePoly, rho: RealAlgebraic, p: tuple[F, F], rng,
             shift = SparsePoly.variable("z1", g1.vars) + SparsePoly.constant(rho.as_fraction(), g1.vars)
             return fulton_oracle(g1.subs_poly("z1", shift), g2.subs_poly("z1", shift))[0]
         G1, G2 = _shift_to_a(g1, g2)
-        return at_root(rho, lambda ctx: fulton_multiplicity(G1, G2, ctx=ctx), variables=G1.vars)[1]
+        return at_root(rho, lambda ctx: fulton_oracle(G1, G2, ctx=ctx)[0], variables=G1.vars)[1]
 
     for _ in range(draws):
         q = (F(rng.randrange(-60, 61), rng.randrange(1, 8)), F(rng.randrange(-60, 61), rng.randrange(1, 8)))

@@ -38,7 +38,6 @@ from jelonek.multiplicity import (
     _bracket,
     _critical_box_bound,
     _find_rational_point_on,
-    _fulton,
     _fulton_at,
     _int_fulton,
     _line_roots,
@@ -319,7 +318,7 @@ def test_integer_fulton_raises_typed_errors():
             fulton_multiplicity(Fp, z1)
 
 
-# (F, G, resultant certificate holds, _fulton result): a shared factor of
+# (F, G, resultant certificate holds, recursion result): a shared factor of
 # positive z2-degree makes Res_z2 vanish; the shared factor z1 divides both;
 # either way the gcd decides.  A shared z2-free factor off the origin leaves
 # the resultant nonzero, so the gcd is skipped and the multiplicity is finite.
@@ -339,7 +338,8 @@ FULTON_ROUTES = {
 @pytest.mark.parametrize("name", FULTON_ROUTES)
 def test_fulton_shared_component_routes(name):
     # the oracle, the integer rows at the origin and at a rational point, and
-    # the recursion over Q(sqrt(2)) give the same result in both orders
+    # the rows and the oracle over Q(sqrt(2)) give the same result in both
+    # orders
     Fp, Gp, certified, expected = FULTON_ROUTES[name]
     assert resultant_certifies_coprime(Fp, Gp, "z1", "z2") == certified
     assert fulton_oracle(Fp, Gp) == expected
@@ -348,9 +348,44 @@ def test_fulton_shared_component_routes(name):
     for A, B in ((Fp, Gp), (Gp, Fp)):
         mult, conds = fulton_oracle(A, B)
         assert mult == expected[0]
-        for got in (_rows_fulton(A, B, ZPAIR, (0, 0), PARAMS), _fulton(A, B, ZPAIR, sqrt2),
+        for got in (_rows_fulton(A, B, ZPAIR, (0, 0), PARAMS), _rows_fulton(A, B, ZPAIR, (0, 0), PARAMS, sqrt2),
+                    fulton_oracle(A, B, ctx=sqrt2),
                     _rows_fulton(_shift_origin_to(A, point), _shift_origin_to(B, point), ZPAIR, point, PARAMS)):
             assert (got[0], [c.normalized() for c in got[1]]) == (mult, [c.normalized() for c in conds])
+
+
+# the minimal polynomials of sqrt(2), sqrt(3), sqrt(2) + sqrt(3) and sqrt(3/2):
+# in the quartic a product of reduced rows reaches a^6 before it is reduced,
+# and the last is not monic
+MODULI = {str(m): m for m in (SparsePoly.variable("a") ** 2 - 2, SparsePoly.variable("a") ** 2 - 3,
+                               SparsePoly.variable("a") ** 4 - 10 * SparsePoly.variable("a") ** 2 + 1,
+                               2 * SparsePoly.variable("a") ** 2 - 3)}
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(*[st.builds(lambda p, q, r, s: p + q + r * s, polys_in(ZPAIR, max_deg=1, max_terms=3),
+                   polys_in(ZPAIR, max_deg=3, max_terms=3), polys_in(("a",), max_deg=3, max_terms=2),
+                   polys_in(ZPAIR + PARAMS, max_deg=1, max_terms=2)).filter(lambda p: len(p.terms) >= 4)] * 2,
+       polys_in(ZPAIR + PARAMS + ("a",), max_deg=1, max_terms=3), st.sampled_from(list(MODULI)),
+       st.sampled_from(["plain", "plain", "plain", "through", "off", "zero G"]))
+def test_integer_rows_over_an_extension_match_the_fulton_oracle(Fl, Gl, h, modulus, case):
+    # over Q[a]/(m) with y1, y2 in the coefficients, the integer rows give the
+    # oracle's multiplicity at the origin, and its conditions up to rational
+    # multiples
+    def through_origin(p):
+        return p - p.eval_rational({"z1": 0, "z2": 0})
+
+    Fl, Gl = through_origin(Fl), through_origin(Gl)
+    if case == "through":  # a common factor through the origin
+        Fl, Gl = Fl * through_origin(h), Gl * through_origin(h)
+    elif case == "off":  # a common factor off it
+        Fl, Gl = Fl * (through_origin(h) + 1), Gl * (through_origin(h) + 1)
+    elif case == "zero G":
+        Gl = SparsePoly.zero()
+    ctx = ExtContext(MODULI[modulus])
+    mult, conds = fulton_oracle(Fl, Gl, ctx=ctx)
+    got = _rows_fulton(Fl, Gl, ZPAIR, (0, 0), PARAMS, ctx)
+    assert (got[0], [p.normalized() for p in got[1]]) == (mult, [p.normalized() for p in conds])
 
 
 def test_ms_fulton_intro():
@@ -359,6 +394,15 @@ def test_ms_fulton_intro():
     comps = ms_fulton(sys, rho)
     assert len(comps) == 1
     assert comps[0].defining.normalized() == (2 * y1 - y2 + 3).normalized()
+
+
+def test_ms_fulton_keeps_one_of_two_equal_components():
+    # the conditions -y1 and y1 split into the same factor y1, and the
+    # duplicate is dropped
+    sys = EdgeSystem((z1 + y1) * z2, (z1 + y1) * (z2 - z1 ** 2), z1, None, None)
+    assert fulton_condition_polynomials(sys.g1, sys.g2) == (2, [-y1, y1])
+    comps = ms_fulton(sys, RealAlgebraic.from_rational(0))
+    assert [(c.defining, c.minpoly) for c in comps] == [(y1, None)]
 
 
 def test_ms_fulton_matches_ms_resultant_zero_sets():
@@ -899,21 +943,25 @@ def test_odd_jump_shortcut_without_a_rational_point_gives_no_verdict():
     assert _odd_jump_shortcut(comp, sys, random.Random(0)) is None
 
 
-@pytest.mark.parametrize("case", ["origin value", "trailing coefficient"])
+@pytest.mark.parametrize("case", ["origin value", "trailing coefficient", "leading coefficient"])
 def test_fulton_splits_the_modulus_at_a_zero_divisor(case):
     # a value the recursion branches on is nonzero in Q[a]/((a - 1)(a^2 - 3))
-    # but vanishes at sqrt(3): the recursion raises the factor a^2 - 3,
-    # at_root narrows the modulus to it, and the multiplicity is that over
-    # Q(sqrt(3)).  The origin value a^2 - 3 of F: z2 = 0 meets z1 = 0 once.
-    # The order (a^2 - 3)*u in u of G at z2 = 0, F = z2: it is 2, from z1^2
+    # but vanishes at sqrt(3): the recursion, and the oracle, raise the
+    # factor a^2 - 3, at_root narrows the modulus to it, and the multiplicity
+    # is that over Q(sqrt(3)).  The origin value a^2 - 3 of F: z2 = 0 meets
+    # z1 = 0 once.  The order (a^2 - 3)*u in u of G at z2 = 0, F = z2: it is
+    # 2, from z1^2.  The leading coefficient a^2 - 3 in u of F at z2 = 0: F
+    # is z1^2 + 2*z1 there over Q(sqrt(3)), and meets G transversally
     a = SparsePoly.variable("a")
     modulus = ((a - 1) * (a ** 2 - 3)).normalized()
     sqrt3 = max((r for r, _ in isolate_real_roots(modulus, "a")), key=lambda r: r.to_float())
     assert sqrt3.dense == tuple(dense_int(modulus, "a"))
     Fp, Gp, mult = {"origin value": (z2 + a ** 2 - 3, z1, 1),
-                    "trailing coefficient": (z2, (a ** 2 - 3) * z1 + z1 ** 2, 2)}[case]
+                    "trailing coefficient": (z2, (a ** 2 - 3) * z1 + z1 ** 2, 2),
+                    "leading coefficient": ((a ** 2 - 3) * z1 ** 4 + z1 ** 2 + 2 * z1, z2 + z1 ** 3, 1)}[case]
     got = at_root(sqrt3, lambda ctx: fulton_multiplicity(Fp, Gp, ctx=ctx))
     assert got == ((a ** 2 - 3).normalized(), mult)
+    assert at_root(sqrt3, lambda ctx: fulton_oracle(Fp, Gp, ctx=ctx)[0]) == got
 
 
 def test_escape_oracle_is_inconclusive_where_escapes_fade():

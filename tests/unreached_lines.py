@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-CEILING = 15
+CEILING = 14
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "jelonek"
