@@ -7,17 +7,19 @@ and continue per factor (dynamic evaluation).  Elements and polynomials
 over the extension are plain :class:`SparsePoly` values kept reduced in the
 extension variable.
 
-One routine per job: :func:`divmod_univar` divides with remainder,
-:func:`ext_exact_div` gives exact quotients, :func:`ext_monic` normalizes and
-:func:`ext_gcd_multivar` is the one gcd; its pseudo-remainder sequence is
-kept monic, so a zero divisor met on the way splits the modulus.
+One routine per job: :meth:`ExtContext.reduce` reduces modulo m row by
+row, :meth:`ExtContext.inverse` inverts by the extended Euclidean algorithm
+in Q[a], :func:`ext_exact_div` gives exact quotients, :func:`ext_pseudo_rem`
+pseudo-remainders, :func:`ext_monic` normalizes and :func:`ext_gcd_multivar`
+is the one gcd; its pseudo-remainder sequence is kept monic, so a zero
+divisor met on the way splits the modulus.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .poly import PolyError, QQ, SparsePoly, coeffs_wrt, exact_div, gcd_multivar, grlex_key
+from .poly import PolyError, QQ, SparsePoly, coeffs_wrt, dense_int, exact_div, gcd_multivar, grlex_key, pseudo_division
 
 
 class ZeroDivisor(Exception):
@@ -26,45 +28,6 @@ class ZeroDivisor(Exception):
     def __init__(self, factor: SparsePoly):
         super().__init__(f"zero divisor; modulus factor {factor}")
         self.factor = factor
-
-
-def divmod_univar(p: SparsePoly, q: SparsePoly, var: str,
-                  ctx: ExtContext | None = None) -> tuple[SparsePoly, SparsePoly]:
-    """Division with remainder in K[var], K = Q or Q[a]/(m) when ``ctx`` is given.
-
-    Coefficients may involve other variables.  Without ``ctx`` the leading
-    coefficient of ``q`` in ``var`` must be a nonzero rational constant (it
-    is for minimal polynomials in canonical form); with ``ctx`` it is
-    inverted in Q[a]/(m), which may raise :class:`ZeroDivisor`, and every
-    step is reduced modulo m.
-    """
-    if ctx is not None:
-        p, q = ctx.reduce(p), ctx.reduce(q)
-    dq = q.degree(var)
-    if dq < 0:
-        raise PolyError("division by zero")
-    lc = q.coeff_of(var, dq)
-    if ctx is not None:
-        inv = ctx.inverse(lc)
-    elif lc.is_constant():
-        inv = 1 / lc.constant_value()
-    else:
-        raise PolyError("divisor leading coefficient is not constant")
-    quo = SparsePoly.zero(p.vars)
-    rem = p
-    while not rem.is_zero() and rem.degree(var) >= dq:
-        dr = rem.degree(var)
-        mono = SparsePoly.monomial({var: dr - dq}, 1, p.vars)
-        if ctx is None:
-            coeff = rem.coeff_of(var, dr).scale(inv)
-            rem = rem - q * coeff * mono
-        else:
-            coeff = ctx.mul(rem.coeff_of(var, dr), inv)
-            rem = ctx.reduce(rem - q * coeff * mono)
-            if rem.degree(var) == dr:  # leading coefficient was a zero divisor view
-                raise PolyError("division failed to reduce degree")
-        quo = quo + coeff * mono
-    return quo, rem
 
 
 class ExtContext:
@@ -78,14 +41,29 @@ class ExtContext:
         self.var = var
         self.minpoly = minpoly.normalized()
         self.deg = self.minpoly.degree(var)
+        self.dense = dense_int(self.minpoly, var)
 
     def reduce(self, p: SparsePoly) -> SparsePoly:
+        """p modulo m.  p's terms are grouped into rows in a by their
+        monomial in the other variables, and in each row a^e, e >= deg m, is
+        rewritten from the top down by a^deg m = -(m - lc * a^deg m) / lc."""
         if p.degree(self.var) < self.deg:
             return p
-        return divmod_univar(p, self.minpoly, self.var)[1]
-
-    def mul(self, p: SparsePoly, q: SparsePoly) -> SparsePoly:
-        return self.reduce(p * q)
+        ai = p._idx(self.var)
+        *tail, lc = self.dense
+        rows: dict[tuple[int, ...], dict[int, QQ]] = {}
+        for exps, c in p.terms.items():
+            rows.setdefault(exps[:ai] + (0,) + exps[ai + 1:], {})[exps[ai]] = c
+        terms = {}
+        for key, row in rows.items():
+            for e in range(max(row), self.deg - 1, -1):
+                c = QQ(row.pop(e, 0), lc)
+                if c:
+                    for i, t in enumerate(tail):  # a^(e - deg m) * -t * a^i / lc
+                        row[e - self.deg + i] = row.get(e - self.deg + i, 0) - t * c
+            for e, c in row.items():
+                terms[key[:ai] + (e,) + key[ai + 1:]] = c
+        return SparsePoly(terms, p.vars)
 
     def inverse(self, u: SparsePoly) -> SparsePoly:
         """Inverse of an element of Q[a]/(m); raises ZeroDivisor on failure."""
@@ -96,18 +74,18 @@ class ExtContext:
             raise PolyError("inverse of zero")
         if u.is_constant():
             return SparsePoly.constant(1 / u.constant_value(), u.vars)
-        # extended Euclid in Q[a]
+        # extended Euclid in Q[a]; a monic divisor makes each pseudo-division exact
         r0, r1 = self.minpoly, u
         s0, s1 = SparsePoly.zero(u.vars), SparsePoly.constant(1, u.vars)
-        while not r1.is_zero() and r1.degree(self.var) > 0:
-            q, r = divmod_univar(r0, r1, self.var)
+        while r1.degree(self.var) > 0:
+            inv = 1 / r1.coeff_of(self.var, r1.degree(self.var)).constant_value()
+            r1, s1 = r1.scale(inv), s1.scale(inv)
+            q, r = pseudo_division(r0, r1, self.var)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - q * s1
         if r1.is_zero():
-            g = r0.normalized()
-            if g.degree(self.var) >= self.deg:
-                raise PolyError("inverse of zero in quotient ring")
-            raise ZeroDivisor(g)
+            # u is reduced and nonzero, so gcd(m, u) = r0 has degree below deg m
+            raise ZeroDivisor(r0.normalized())
         return self.reduce(s1.scale(1 / r1.constant_value()))
 
 
@@ -267,18 +245,15 @@ def _split_where_zero(p: SparsePoly, ctx: ExtContext) -> None:
 
 
 def ext_pseudo_rem(p: SparsePoly, q: SparsePoly, main: str, ctx: ExtContext) -> SparsePoly:
+    """A pseudo-remainder of p by q in ``main``, reduced modulo m at each step."""
     dq = q.degree(main)
     lc_q = q.coeff_of(main, dq)
     rem = p
-    guard = 0
     while not rem.is_zero() and rem.degree(main) >= dq:
         dr = rem.degree(main)
         lc_r = rem.coeff_of(main, dr)
         mono = SparsePoly.monomial({main: dr - dq}, 1, p.vars)
         rem = ctx.reduce(rem * lc_q - q * lc_r * mono)
-        guard += 1
-        if guard > 10000:
-            raise PolyError("pseudo-remainder failed to terminate")
     return rem
 
 

@@ -188,15 +188,14 @@ def _z1_to_a(p: SparsePoly) -> SparsePoly:
 # -- Fulton's recursive intersection multiplicity ------------------------------
 
 
-def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(0, 0),
-                        ctx: ExtContext | None = None):
+def fulton_multiplicity(F: SparsePoly, G: SparsePoly, pair=("z1", "z2"), point=(0, 0)):
     """Intersection multiplicity at ``point`` of the curves F = 0, G = 0 in ``pair``.
 
     Returns a nonnegative integer, or ``FULTON_INFINITY`` when F and G share
-    a component through the point.  The coefficients are in Q, or in
-    Q[a]/(m) with ``ctx``; the recursion runs on integer rows either way.
+    a component through the point.  The coefficients are in Q; the recursion
+    runs on integer rows.
     """
-    return _rows_fulton(F, G, pair, point, (), ctx)[0]
+    return _rows_fulton(F, G, pair, point, ())[0]
 
 
 @dataclass(frozen=True)
@@ -265,8 +264,8 @@ class _Rows:
         if self.ctx is None:
             return R
         deg, mask = self.ctx.deg, (1 << self.width) - 1
+        *tail, lc = self.ctx.dense
         while any(k & mask >= deg for row in R for k in row):
-            *tail, lc = dense_int(self.ctx.minpoly, self.ctx.var)
             out = []
             for row in R:
                 new: dict[int, int] = {}

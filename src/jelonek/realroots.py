@@ -33,9 +33,9 @@ from typing import Sequence
 from .extension import (
     ExtContext,
     ZeroDivisor,
-    divmod_univar,
     ext_gcd_multivar,
     ext_monic,
+    ext_pseudo_rem,
     split_minpoly,
 )
 from .poly import (
@@ -408,7 +408,8 @@ def sturm_count_ext(p: SparsePoly, main: str, ctx: ExtContext, alpha: RealAlgebr
     while p.degree(main) > 0:
         seq = [p, ctx.reduce(p.derivative(main))]
         while seq[-1].degree(main) > 0:
-            _, r = divmod_univar(seq[-2], seq[-1], main, ctx)
+            # the remainder by seq[-1] is the remainder by its monic associate
+            r = ext_pseudo_rem(seq[-2], ext_monic(seq[-1], ctx), main, ctx)
             seq.append(ctx.reduce(-r))
         if seq[-1].is_zero():
             seq.pop()

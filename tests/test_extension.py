@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jelonek.poly import PolyError, SparsePoly, dense_int, gcd_multivar
+from jelonek.poly import PolyError, SparsePoly, dense_int, exact_div, gcd_multivar
 from jelonek.extension import (
     ExtContext,
     ZeroDivisor,
-    divmod_univar,
     ext_exact_div,
     ext_gcd_multivar,
     ext_monic,
@@ -32,36 +31,46 @@ def test_reduce_and_inverse():
     ctx = ExtContext(a ** 2 - 2)
     assert ctx.reduce(a ** 2) == SparsePoly.constant(2)
     inv = ctx.inverse(a)  # 1/sqrt2 = a/2
-    assert ctx.mul(inv, a) == SparsePoly.constant(1)
+    assert ctx.reduce(inv * a) == SparsePoly.constant(1)
     assert ctx.inverse(SparsePoly.constant(3)) == SparsePoly.constant(Fraction(1, 3))
-    assert ctx.mul(ctx.inverse(a + 1), a + 1) == SparsePoly.constant(1)
+    assert ctx.reduce(ctx.inverse(a + 1) * (a + 1)) == SparsePoly.constant(1)
 
 
-@pytest.mark.parametrize("p, q, var, ctx", [
-    # rational leading coefficient, other coefficients in y1, y2
-    (y1 * z1 ** 3 + (y2 - 1) * z1 + 5, 2 * z1 ** 2 + y1 * z1 - 3, "z1", None),
-    # univariate over Q
-    (3 * a ** 5 - a + SparsePoly.constant(Fraction(7, 2)),
-     SparsePoly.constant(Fraction(2, 3)) * a ** 2 + a - 1, "a", None),
-    # over Q[a]/(a^2 - 2) with leading coefficient a + 1
-    (z1 ** 4 + a * z1 ** 3 - 3 * z1 + a, (a + 1) * z1 ** 2 + a * z1 + 1, "z1", ExtContext(a ** 2 - 2)),
-], ids=["rational-lc-multivariate", "univariate-over-Q", "over-Q(sqrt2)"])
-def test_divmod_univar(p, q, var, ctx):
-    quo, rem = divmod_univar(p, q, var, ctx)
-    red = ctx.reduce if ctx is not None else (lambda f: f)
-    assert red(quo * q + rem - p).is_zero()
-    assert rem.degree(var) < q.degree(var)
-    assert not quo.is_zero()
+def _rows_in_a(deg):
+    """Polynomials in y1 and z1 over Q[a] whose a-degree goes up to 3 * deg."""
+    return st.lists(st.tuples(polys_in(["y1", "z1"]), st.integers(0, 3 * deg)), min_size=1, max_size=4).map(
+        lambda parts: sum((c * a ** k for c, k in parts), SparsePoly.zero()))
 
 
-def test_divmod_univar_zero_divisor_leading_coefficient():
-    with pytest.raises(ZeroDivisor):
-        divmod_univar(z1 ** 2, (a - 1) * z1 + 1, "z1", ExtContext(a ** 2 - 1))
+def _case(m, factors):
+    """(m, p, u): u times a factor of m is a zero divisor when m is reducible."""
+    d = m.degree("a")
+    u = st.tuples(polys_in(["a"], max_deg=3 * d), st.sampled_from(factors)).map(lambda t: t[0] * t[1])
+    return st.tuples(st.just(m), _rows_in_a(d), u)
 
 
-def test_divmod_univar_needs_rational_leading_coefficient():
-    with pytest.raises(PolyError):
-        divmod_univar(z1 ** 2, y1 * z1 + 1, "z1")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from([(a ** 2 - 2, [1]), (2 * a ** 2 - 3, [1]), (a ** 4 - 10 * a ** 2 + 1, [1]),
+                        ((a - 1) * (a ** 2 - 3), [1, a - 1, a ** 2 - 3])]).flatmap(lambda mf: _case(*mf)))
+def test_reduce_and_inverse_modulo_m(case):
+    """reduce(p) is the remainder of p by m in a, and inverse(u) inverts u
+    modulo m or raises ZeroDivisor with the factor gcd(m, u)."""
+    m, p, u = case
+    ctx = ExtContext(m)
+    r = ctx.reduce(p)
+    assert r.degree("a") < m.degree("a")
+    exact_div(p - r, m)
+    assert ctx.reduce(r) == r
+    g = gcd_multivar(m, u)
+    if ctx.reduce(u).is_zero():
+        with pytest.raises(PolyError):
+            ctx.inverse(u)
+    elif g.is_constant():
+        assert ctx.reduce(u * ctx.inverse(u)) == 1
+    else:
+        with pytest.raises(ZeroDivisor) as e:
+            ctx.inverse(u)
+        assert e.value.factor == g
 
 
 def test_inverse_zero_divisor():
@@ -244,6 +253,20 @@ def test_sturm_count_ext_narrows_a_reducible_modulus():
         modulus, counts = at_root(alpha, lambda ctx: sturm_count_ext(A * H, "x1", ctx, alpha))
         assert modulus == kept
         assert counts == (2, 4)
+
+
+def test_sturm_count_ext_zero_divisor_leading_coefficient():
+    # modulo a^2 - 1 the Sturm sequence of p has the remainder
+    # -2/3*(a - 1)*z1 - 1, whose leading coefficient vanishes at a = 1:
+    # making it monic raises ZeroDivisor, also at the root -1, where the
+    # signs of the leading coefficients would not
+    p = z1 ** 3 + (a - 1) * z1 + 1
+    for root, kept, counts in ((-1, a + 1, (3, 3)), (1, a - 1, (1, 1))):
+        alpha = RealAlgebraic([-1, 0, 1], Fraction(root) - Fraction(1, 2), Fraction(root) + Fraction(1, 2))
+        with pytest.raises(ZeroDivisor) as e:
+            sturm_count_ext(p, "z1", ExtContext(a ** 2 - 1), alpha)
+        assert e.value.factor == a - 1
+        assert at_root(alpha, lambda ctx: sturm_count_ext(p, "z1", ctx, alpha)) == (kept, counts)
 
 
 @pytest.mark.parametrize("minpoly", [w ** 2 - 2, (w ** 2 - 2) * (w ** 2 - 3)], ids=["minimal", "reducible"])

@@ -176,8 +176,8 @@ def test_fulton_multiplicity_basics():
     assert fulton_multiplicity(z1 + 1, SparsePoly.zero()) == 0
     assert fulton_multiplicity(z1, SparsePoly.zero()) == FULTON_INFINITY
     sqrt2 = ExtContext(SparsePoly.variable("a") ** 2 - 2)
-    assert fulton_multiplicity(z1 + 1, SparsePoly.zero(), ctx=sqrt2) == 0
-    assert fulton_multiplicity(SparsePoly.zero(), z1, ctx=sqrt2) == FULTON_INFINITY
+    assert _rows_fulton(z1 + 1, SparsePoly.zero(), ("z1", "z2"), (0, 0), (), sqrt2)[0] == 0
+    assert _rows_fulton(SparsePoly.zero(), z1, ("z1", "z2"), (0, 0), (), sqrt2)[0] == FULTON_INFINITY
     # generic line products: mu = m * n
     rng = random.Random(11)
     for _ in range(8):
@@ -959,7 +959,7 @@ def test_fulton_splits_the_modulus_at_a_zero_divisor(case):
     Fp, Gp, mult = {"origin value": (z2 + a ** 2 - 3, z1, 1),
                     "trailing coefficient": (z2, (a ** 2 - 3) * z1 + z1 ** 2, 2),
                     "leading coefficient": ((a ** 2 - 3) * z1 ** 4 + z1 ** 2 + 2 * z1, z2 + z1 ** 3, 1)}[case]
-    got = at_root(sqrt3, lambda ctx: fulton_multiplicity(Fp, Gp, ctx=ctx))
+    got = at_root(sqrt3, lambda ctx: _rows_fulton(Fp, Gp, ("z1", "z2"), (0, 0), (), ctx)[0])
     assert got == ((a ** 2 - 3).normalized(), mult)
     assert at_root(sqrt3, lambda ctx: fulton_oracle(Fp, Gp, ctx=ctx)[0]) == got
 
